@@ -335,8 +335,8 @@ type benchEngineRecord struct {
 	EventsPerSec  float64 `json:"events_per_sec"`
 	NsPerEvent    float64 `json:"ns_per_event"`
 	AllocsPerOp   float64 `json:"allocs_per_op"`
-	HeapPushes    uint64  `json:"heap_pushes"`
-	HeapPops      uint64  `json:"heap_pops"`
+	Inserts       uint64  `json:"inserts"`
+	Dispatches    uint64  `json:"dispatches"`
 	MaxTimerDepth int     `json:"max_timer_depth"`
 	// Wheel-level cost counters (engine v2, DESIGN.md §15): how often the
 	// hierarchical wheel redistributed entries downward and how many
@@ -400,8 +400,8 @@ func BenchmarkEngineHotPath(b *testing.B) {
 		EventsPerSec:       perSec,
 		NsPerEvent:         float64(wall.Nanoseconds()) / float64(b.N),
 		AllocsPerOp:        allocs,
-		HeapPushes:         prof.HeapPushes,
-		HeapPops:           prof.HeapPops,
+		Inserts:            prof.Inserts,
+		Dispatches:         prof.Dispatches,
 		MaxTimerDepth:      prof.MaxDepth,
 		Cascades:           prof.Cascades,
 		OverflowPromotions: prof.OverflowPromotions,

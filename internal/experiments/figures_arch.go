@@ -65,12 +65,12 @@ func archRun(app string, pol memsched.Policy, bypass bool, migrate bool, scale S
 			// (Fig. 9a); Policy One moves the chunk into barrier-idle
 			// slots instead.
 			n.Submit(&trace.IORequest{Op: trace.OpWrite, Offset: woff, Size: 64 << 10, Class: trace.ClassMigrated},
-				func(*trace.IORequest) { eng.After(2*sim.Millisecond, wstream) })
+				func(*trace.IORequest) { eng.Schedule(2*sim.Millisecond, wstream) })
 			woff += 64 << 10
 		}
 		rstream = func() {
 			n.Submit(&trace.IORequest{Op: trace.OpRead, Offset: roff, Size: 64 << 10, Class: trace.ClassMigrated},
-				func(*trace.IORequest) { eng.After(100*sim.Microsecond, rstream) })
+				func(*trace.IORequest) { eng.Schedule(100*sim.Microsecond, rstream) })
 			roff += 64 << 10
 		}
 		wstream()

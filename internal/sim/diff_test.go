@@ -325,7 +325,7 @@ func TestWheelDifferentialUnderProfiling(t *testing.T) {
 	if prof.OverflowPromotions == 0 {
 		t.Fatal("a beyond-horizon schedule should record overflow promotions")
 	}
-	if prof.HeapPops != prof.Events {
-		t.Fatalf("pops %d != events %d", prof.HeapPops, prof.Events)
+	if prof.Dispatches != prof.Events {
+		t.Fatalf("dispatches %d != events %d", prof.Dispatches, prof.Events)
 	}
 }

@@ -81,11 +81,11 @@ type Engine struct {
 type EngineProfile struct {
 	// Events is the number of events dispatched since profiling was enabled.
 	Events uint64
-	// HeapPushes counts event-queue insertions (one per At/Schedule call or
+	// Inserts counts event-queue insertions (one per At/Schedule call or
 	// timer arm, including periodic re-arms).
-	HeapPushes uint64
-	// HeapPops counts event-queue removals (one per dispatched event).
-	HeapPops uint64
+	Inserts uint64
+	// Dispatches counts event-queue removals (one per dispatched event).
+	Dispatches uint64
 	// MaxDepth is the high-water mark of simultaneously pending events —
 	// the timer depth the queue actually had to organize.
 	MaxDepth int
@@ -173,7 +173,7 @@ func (e *Engine) arm(tm *timer, t Time) {
 	tm.seq = e.seq
 	e.wheel.insert(tm)
 	if e.prof != nil {
-		e.prof.HeapPushes++
+		e.prof.Inserts++
 		if d := e.wheel.pending; d > e.prof.MaxDepth {
 			e.prof.MaxDepth = d
 		}
@@ -187,8 +187,16 @@ func (e *Engine) Step() bool {
 	if tm == nil {
 		return false
 	}
+	e.dispatch(tm)
+	return true
+}
+
+// dispatch runs one entry popped from the wheel: it advances the clock to
+// the entry's time, runs the callback, then re-arms or recycles the entry.
+// Step and RunUntil share it so both dispatch identically.
+func (e *Engine) dispatch(tm *timer) {
 	if e.prof != nil {
-		e.prof.HeapPops++
+		e.prof.Dispatches++
 		e.prof.Events++
 	}
 	tm.state = tmRunning
@@ -208,7 +216,6 @@ func (e *Engine) Step() bool {
 	} else if tm.state == tmDead {
 		e.wheel.recycle(tm)
 	}
-	return true
 }
 
 // SetBudget arms the watchdog: subsequent Run/RunUntil/RunFor calls return
@@ -273,17 +280,31 @@ func (e *Engine) Run() error {
 // forward would silently skip the rest of the window. It returns a non-nil
 // error only when a SetBudget watchdog limit is exceeded (that exit also
 // leaves the clock where the last event put it).
+//
+// Each step pops the next due event with wheel.popIfBefore, which
+// restructures the wheel only as far as t. A step on which the watchdog
+// can trip instead peeks first: popIfBefore may load the dispatch buffer
+// and move the cursor to the next event's tick, and returning the budget
+// error after that would leave the cursor ahead of the clock (DESIGN.md
+// §15, "RunUntil without peek").
 func (e *Engine) RunUntil(t Time) error {
 	e.stopped = false
 	for !e.stopped {
-		at, ok := e.wheel.peek()
-		if !ok || at > t {
+		var tm *timer
+		if e.budgetErr != nil || e.budgetDeadline > 0 ||
+			(e.budgetEvents > 0 && e.processed >= e.budgetEvents) {
+			at, ok := e.wheel.peek()
+			if !ok || at > t {
+				break
+			}
+			if err := e.checkBudget(); err != nil {
+				return err
+			}
+			tm = e.wheel.popMin()
+		} else if tm = e.wheel.popIfBefore(t); tm == nil {
 			break
 		}
-		if err := e.checkBudget(); err != nil {
-			return err
-		}
-		e.Step()
+		e.dispatch(tm)
 	}
 	if !e.stopped && e.now < t {
 		e.now = t

@@ -329,7 +329,8 @@ func TestProfilingDisabledByDefault(t *testing.T) {
 func TestProfilingCounters(t *testing.T) {
 	e := NewEngine()
 	e.EnableProfiling()
-	// Three leaf events plus one that schedules two more: 6 pushes, 6 pops.
+	// Three leaf events plus one that schedules two more: 6 inserts, 6
+	// dispatches.
 	for i := 0; i < 3; i++ {
 		e.Schedule(Time(i)*Microsecond, func() {})
 	}
@@ -341,8 +342,8 @@ func TestProfilingCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := e.Profile()
-	if p.Events != 6 || p.HeapPushes != 6 || p.HeapPops != 6 {
-		t.Fatalf("counters: %+v, want 6 events/pushes/pops", p)
+	if p.Events != 6 || p.Inserts != 6 || p.Dispatches != 6 {
+		t.Fatalf("counters: %+v, want 6 events/inserts/dispatches", p)
 	}
 	// All four initial events were pending at once before any ran.
 	if p.MaxDepth != 4 {
@@ -356,7 +357,104 @@ func TestProfilingReenableResets(t *testing.T) {
 	e.Schedule(0, func() {})
 	e.Run()
 	e.EnableProfiling()
-	if p := e.Profile(); p.Events != 0 || p.HeapPushes != 0 {
+	if p := e.Profile(); p.Events != 0 || p.Inserts != 0 {
 		t.Fatalf("re-enable did not reset: %+v", p)
+	}
+}
+
+// Regression for the RunUntil exit that loads the dispatch buffer and
+// finds nothing due: t falls inside the 256 ns tick of the next event but
+// before it (or ticks before it), so popIfBefore may extract that tick
+// and return nil. Inserts into the loaded tick and just after the clock
+// must still dispatch in (time, seq) order, exactly as the reference heap
+// orders them.
+func TestRunUntilBeforeNextEventThenInsert(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		until Time
+	}{
+		{"inside-tick", 900}, // the next event (1000) is in tick 768–1023
+		{"ticks-before", 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(eng tengine) ([]fireRec, Time) {
+				var fires []fireRec
+				rec := func(id int) func() {
+					return func() { fires = append(fires, fireRec{id: id, at: eng.now()}) }
+				}
+				eng.at(1000, rec(0))
+				eng.at(1020, rec(1))
+				eng.at(5000, rec(2))
+				eng.runUntil(tc.until)
+				if len(fires) != 0 || eng.now() != tc.until {
+					t.Fatalf("RunUntil(%v): fires %v, clock %v", tc.until, fires, eng.now())
+				}
+				eng.at(950, rec(3))          // into the loaded tick, before its entries
+				eng.at(eng.now()+1, rec(4))  // just after the clock
+				eng.schedule(0, rec(5))      // at the clock
+				eng.at(1000, rec(6))         // tie with event 0, later seq
+				eng.at(eng.now()-50, rec(7)) // in the past: clamps to the clock
+				eng.runUntil(10_000)
+				return fires, eng.now()
+			}
+			got, gotNow := run(wheelEngine{NewEngine()})
+			want, wantNow := run(&refEngine{})
+			if len(got) != len(want) || gotNow != wantNow {
+				t.Fatalf("wheel fired %v (clock %v), reference %v (clock %v)", got, gotNow, want, wantNow)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("wheel fired %v, reference %v", got, want)
+				}
+			}
+		})
+	}
+}
+
+// Regression for the watchdog exit: an event budget trips mid-window, the
+// head timer is stopped, and events are inserted just after the clock
+// before the budget is cleared and the window resumed. Had the tripping
+// step loaded the next tick into the dispatch buffer, the cursor would sit
+// ahead of the clock and the inserts would dispatch after later events.
+func TestRunUntilBudgetTripStopHeadThenInsert(t *testing.T) {
+	e := NewEngine()
+	var fires []fireRec
+	rec := func(id int) func() {
+		return func() { fires = append(fires, fireRec{id: id, at: e.Now()}) }
+	}
+	e.At(1000, rec(0))
+	head := e.AtTimer(2000, rec(1))
+	e.At(3000, rec(2))
+	e.SetBudget(1, 0)
+	if err := e.RunUntil(10_000); err == nil {
+		t.Fatal("a one-event budget did not trip on the second event")
+	}
+	if e.Now() != 1000 {
+		t.Fatalf("clock at %v after the trip, want 1000 (last dispatched event)", e.Now())
+	}
+	if !head.Stop() {
+		t.Fatal("head timer was not pending after the trip")
+	}
+	e.At(1001, rec(3))
+	e.Schedule(1, rec(4))
+	e.At(1500, rec(5))
+	if e.Now() != 1000 {
+		t.Fatalf("clock moved to %v between the trip and the resume", e.Now())
+	}
+	e.SetBudget(0, 0)
+	if err := e.RunUntil(10_000); err != nil {
+		t.Fatal(err)
+	}
+	want := []fireRec{{0, 1000}, {3, 1001}, {4, 1001}, {5, 1500}, {2, 3000}}
+	if len(fires) != len(want) {
+		t.Fatalf("fires = %v, want %v", fires, want)
+	}
+	for i := range want {
+		if fires[i] != want[i] {
+			t.Fatalf("fires = %v, want %v", fires, want)
+		}
+	}
+	if e.Now() != 10_000 {
+		t.Fatalf("clock at %v, want 10000", e.Now())
 	}
 }

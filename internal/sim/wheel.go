@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -217,19 +218,26 @@ func (w *wheel) cascade(lvl int, base Time) {
 	}
 }
 
+// noLimit is the fillBuf/popIfBefore bound of plain dispatch.
+const noLimit = Time(math.MaxInt64)
+
 // fillBuf locates the earliest pending tick, advances the cursor to it,
 // and extracts its live entries into the dispatch buffer in (at, seq)
-// order. It reports false when nothing is pending. fillBuf restructures
-// the wheel, so it must only run on the dispatch path (the cursor may
-// pass the engine clock transiently; dispatching the found tick realigns
-// them before any callback observes it). When the scan instead drains the
-// wheel — every remaining slot held only cancelled entries — no dispatch
-// will realign clock and cursor, so the cursor is restored to its entry
-// value: leaving it ahead of the clock would put later inserts (clock <=
-// t < cursor) at a negative tick delta, behind the cursor, where the
-// rotated occupancy scan reads them as nearly a full rotation in the
-// future and dispatch order breaks.
-func (w *wheel) fillBuf() bool {
+// order. It reports false when nothing is pending at or before limit:
+// when the next higher-level slot base, the next level-0 tick, or (with
+// the wheel empty) the overflow minimum lies beyond limit, it returns
+// before moving the cursor there. fillBuf restructures the wheel, so it
+// must only run on the dispatch path, and the cursor it leaves must never
+// be ahead of the clock the engine exits with: either a dispatch from the
+// found tick realigns them, or (popIfBefore) the cursor stays at or
+// behind limit and RunUntil then sets the clock to limit. When the scan
+// instead drains the wheel — every remaining slot held only cancelled
+// entries — no dispatch will realign clock and cursor, so the cursor is
+// restored to its entry value: leaving it ahead of the clock would put
+// later inserts (clock <= t < cursor) at a negative tick delta, behind
+// the cursor, where the rotated occupancy scan reads them as nearly a
+// full rotation in the future and dispatch order breaks.
+func (w *wheel) fillBuf(limit Time) bool {
 	cur0 := w.cur
 	for {
 		// Promote overflow entries the horizon has reached. When the
@@ -245,6 +253,9 @@ func (w *wheel) fillBuf() bool {
 			if levelOf(tickOf(tm.at)-tickOf(w.cur)) >= wheelLevels {
 				if w.levels != 0 {
 					break // wheel entries all precede the overflow tier
+				}
+				if tm.at > limit {
+					return false
 				}
 				w.cur = tm.at
 			}
@@ -270,6 +281,9 @@ func (w *wheel) fillBuf() bool {
 			}
 		}
 		if haveHigher && (!c0ok || minBase <= c0) {
+			if minBase > limit {
+				return false // every pending entry is at or after minBase
+			}
 			// Higher slots at or before the level-0 candidate may hold
 			// earlier entries; bring them down first so ties dispatch in
 			// seq order. Every level whose slot starts at minBase must
@@ -294,6 +308,9 @@ func (w *wheel) fillBuf() bool {
 		}
 
 		// Extract the level-0 slot: every pending entry of that tick.
+		if c0 > limit {
+			return false
+		}
 		if c0 > w.cur {
 			w.cur = c0
 		}
@@ -343,21 +360,33 @@ func (w *wheel) sortBuf() {
 
 // popMin removes and returns the earliest live entry, or nil when none is
 // pending. The returned entry is unlinked and no longer counted pending.
-func (w *wheel) popMin() *timer {
+func (w *wheel) popMin() *timer { return w.popIfBefore(noLimit) }
+
+// popIfBefore removes and returns the earliest live entry if it is due at
+// or before t, else nil. It restructures the wheel only up to t: the
+// cursor never passes t, so a RunUntil(t) that then sets the clock to t
+// keeps the cursor at or behind the clock. A nil return may leave the
+// dispatch buffer loaded with the entries of a tick that starts at or
+// before t but holds nothing due by t.
+func (w *wheel) popIfBefore(t Time) *timer {
 	for {
 		for w.bufi < len(w.buf) {
 			tm := w.buf[w.bufi]
-			w.bufi++
 			if tm.state == tmDead {
+				w.bufi++
 				w.recycle(tm)
 				continue
 			}
+			if tm.at > t {
+				return nil
+			}
+			w.bufi++
 			w.pending--
 			return tm
 		}
 		w.buf = w.buf[:0]
 		w.bufi = 0
-		if !w.fillBuf() {
+		if !w.fillBuf(t) {
 			return nil
 		}
 	}
@@ -365,9 +394,13 @@ func (w *wheel) popMin() *timer {
 
 // peek returns the earliest live pending time without restructuring the
 // wheel: no cascade, no promotion, so the cursor never outruns the engine
-// clock on a peek that is not followed by a dispatch (the budget-trip and
-// stopped-run exits depend on that). Dead entries encountered on the way
-// are pruned, which is invisible to live ordering.
+// clock on a peek that is not followed by a dispatch. Dispatch does not
+// use it: RunUntil calls it only on steps where the watchdog can trip,
+// and checkBudget calls it for the sim-time deadline, so that a budget
+// error returns with the cursor where the last dispatch left it. It walks
+// whole slot chains (peekLevel/pruneScan), which is why it stays off the
+// unbudgeted path. Dead entries encountered on the way are pruned, which
+// is invisible to live ordering.
 func (w *wheel) peek() (Time, bool) {
 	for w.bufi < len(w.buf) {
 		tm := w.buf[w.bufi]
