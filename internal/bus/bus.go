@@ -50,11 +50,48 @@ func TransferTime(n int64) sim.Time {
 	return t
 }
 
-// grant is one pending channel acquisition.
+// grant is one pending channel acquisition. Queues hold grants by value,
+// so an Acquire allocates nothing once a queue has grown to its working
+// depth.
 type grant struct {
 	hold    sim.Time
 	queued  sim.Time
 	granted func(start sim.Time)
+}
+
+// compactMin is the dead-prefix length below which grantQueue never
+// compacts: shallow queues drain to empty and rewind for free.
+const compactMin = 64
+
+// grantQueue is a FIFO of grants with O(1) amortized dequeue. pop advances
+// head; the live tail moves to the front only when the dead prefix is at
+// least compactMin long and at least as long as the tail, so each entry is
+// copied O(1) times however deep the queue runs.
+type grantQueue struct {
+	items []grant
+	head  int
+}
+
+func (q *grantQueue) len() int { return len(q.items) - q.head }
+
+func (q *grantQueue) push(g grant) { q.items = append(q.items, g) }
+
+// pop removes and returns the oldest grant; the queue must be non-empty.
+func (q *grantQueue) pop() grant {
+	g := q.items[q.head]
+	q.items[q.head] = grant{}
+	q.head++
+	switch {
+	case q.head == len(q.items):
+		q.items = q.items[:0]
+		q.head = 0
+	case q.head >= compactMin && 2*q.head >= len(q.items):
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	return g
 }
 
 // Channel is one DDR channel shared by a DRAM DIMM and an NVDIMM. Acquire
@@ -65,11 +102,13 @@ type Channel struct {
 	eng      *sim.Engine
 	id       int
 	busy     bool
-	queues   [numPriorities][]*grant
+	queues   [numPriorities]grantQueue
 	waitUS   [numPriorities]stats.Summary
 	busyTime sim.Time
-	lastFree sim.Time
 	grants   [numPriorities]uint64
+	// releaseFn is c.release bound once, so scheduling the end of every
+	// transfer reuses one func value instead of allocating a closure.
+	releaseFn func()
 
 	// tr, when set, records each granted I/O-class acquisition as a span
 	// covering queue wait + transfer (DRAM demand grants are too numerous
@@ -80,7 +119,9 @@ type Channel struct {
 
 // NewChannel creates a channel bound to the engine.
 func NewChannel(eng *sim.Engine, id int) *Channel {
-	return &Channel{eng: eng, id: id}
+	c := &Channel{eng: eng, id: id}
+	c.releaseFn = c.release
+	return c
 }
 
 // ID returns the channel index.
@@ -94,8 +135,7 @@ func (c *Channel) Acquire(pri Priority, hold sim.Time, granted func(start sim.Ti
 	if hold < 0 {
 		hold = 0
 	}
-	g := &grant{hold: hold, queued: c.eng.Now(), granted: granted}
-	c.queues[pri] = append(c.queues[pri], g)
+	c.queues[pri].push(grant{hold: hold, queued: c.eng.Now(), granted: granted})
 	if !c.busy {
 		c.dispatch()
 	}
@@ -103,37 +143,34 @@ func (c *Channel) Acquire(pri Priority, hold sim.Time, granted func(start sim.Ti
 
 // dispatch grants the channel to the highest-priority waiter.
 func (c *Channel) dispatch() {
-	var g *grant
 	for p := Priority(0); p < numPriorities; p++ {
-		if len(c.queues[p]) > 0 {
-			g = c.queues[p][0]
-			copy(c.queues[p], c.queues[p][1:])
-			c.queues[p][len(c.queues[p])-1] = nil
-			c.queues[p] = c.queues[p][:len(c.queues[p])-1]
-			c.waitUS[p].Add((c.eng.Now() - g.queued).Micros())
-			c.grants[p]++
-			if c.tr != nil && p == PriIO {
-				c.tr.Complete(c.track, "xfer", "bus", g.queued, c.eng.Now()+g.hold,
-					telemetry.F("wait_us", (c.eng.Now()-g.queued).Micros()))
-			}
-			break
+		if c.queues[p].len() == 0 {
+			continue
 		}
-	}
-	if g == nil {
+		g := c.queues[p].pop()
+		start := c.eng.Now()
+		c.waitUS[p].Add((start - g.queued).Micros())
+		c.grants[p]++
+		if c.tr != nil && p == PriIO {
+			c.tr.Complete(c.track, "xfer", "bus", g.queued, start+g.hold,
+				telemetry.F("wait_us", (start-g.queued).Micros()))
+		}
+		c.busy = true
+		c.busyTime += g.hold
+		g.granted(start)
+		c.eng.Schedule(g.hold, c.releaseFn)
 		return
 	}
-	c.busy = true
-	start := c.eng.Now()
-	c.busyTime += g.hold
-	g.granted(start)
-	c.eng.Schedule(g.hold, func() {
-		c.busy = false
-		c.dispatch()
-	})
+}
+
+// release ends the transfer in flight and grants the next waiter.
+func (c *Channel) release() {
+	c.busy = false
+	c.dispatch()
 }
 
 // QueueLen returns the number of waiters at the given priority.
-func (c *Channel) QueueLen(pri Priority) int { return len(c.queues[pri]) }
+func (c *Channel) QueueLen(pri Priority) int { return c.queues[pri].len() }
 
 // Busy reports whether a transfer is in flight.
 func (c *Channel) Busy() bool { return c.busy }

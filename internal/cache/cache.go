@@ -93,7 +93,8 @@ type lrfuEntry struct {
 	owner *LRFU
 	block int64
 	crf   float64
-	last  uint64 // access-count clock at last touch
+	last  uint64  // access-count clock at last touch
+	k     float64 // key(), cached whenever crf or last changes
 	dirty bool
 	index int // heap index
 }
@@ -104,7 +105,7 @@ func (h lrfuHeap) Len() int { return len(h) }
 func (h lrfuHeap) Less(i, j int) bool {
 	// Compare projected CRF at a common time; both decayed from their own
 	// last-touch. log2(crf_i) + λ·last_i orders equivalently.
-	return h[i].key() < h[j].key()
+	return h[i].k < h[j].k
 }
 func (h lrfuHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -180,6 +181,7 @@ func (c *LRFU) Lookup(block int64) bool {
 func (c *LRFU) touch(e *lrfuEntry) {
 	e.crf = 1 + e.crf*c.decayFactor(c.clock-e.last)
 	e.last = c.clock
+	e.k = e.key()
 	heap.Fix(&c.heap, e.index)
 }
 
@@ -200,6 +202,7 @@ func (c *LRFU) Insert(block int64, dirty bool) []Victim {
 		victims = append(victims, Victim{Block: v.block, Dirty: v.dirty})
 	}
 	e := &lrfuEntry{owner: c, block: block, crf: 1, last: c.clock, dirty: dirty}
+	e.k = e.key()
 	c.entries[block] = e
 	heap.Push(&c.heap, e)
 	return victims

@@ -296,3 +296,51 @@ func TestMigrationScanPollutesLRU(t *testing.T) {
 			pollutedRatio, bypassedRatio)
 	}
 }
+
+// checkLRFUHeap fails the test unless every entry's cached key equals
+// key(), every index matches its slot, and the heap order holds.
+func checkLRFUHeap(t *testing.T, c *LRFU, step int) {
+	t.Helper()
+	if len(c.heap) != len(c.entries) {
+		t.Fatalf("step %d: heap has %d entries, map %d", step, len(c.heap), len(c.entries))
+	}
+	for i, e := range c.heap {
+		if e.k != e.key() {
+			t.Fatalf("step %d: block %d cached key %v != key() %v", step, e.block, e.k, e.key())
+		}
+		if e.index != i {
+			t.Fatalf("step %d: block %d at slot %d has index %d", step, e.block, i, e.index)
+		}
+		if c.entries[e.block] != e {
+			t.Fatalf("step %d: heap entry for block %d is not the mapped one", step, e.block)
+		}
+		if p := (i - 1) / 2; i > 0 && c.heap.Less(i, p) {
+			t.Fatalf("step %d: heap order broken at slot %d (parent %d)", step, i, p)
+		}
+	}
+}
+
+// TestLRFUCachedKeyConsistent drives a long random Lookup/Insert/MarkDirty
+// sequence and checks that the key cached in each entry always equals the
+// one key() computes and that the heap stays ordered by it.
+func TestLRFUCachedKeyConsistent(t *testing.T) {
+	for _, lambda := range []float64{DefaultLambda, 0.1, 1} {
+		c := NewLRFU(64, lambda)
+		rng := rand.New(rand.NewSource(11))
+		for step := 0; step < 50000; step++ {
+			block := int64(rng.Intn(256))
+			switch r := rng.Intn(10); {
+			case r < 5:
+				c.Lookup(block)
+			case r < 9:
+				c.Insert(block, rng.Intn(4) == 0)
+			default:
+				c.MarkDirty(block)
+			}
+			if step%997 == 0 {
+				checkLRFUHeap(t, c, step)
+			}
+		}
+		checkLRFUHeap(t, c, -1)
+	}
+}

@@ -72,6 +72,8 @@ type DIMM struct {
 	latency   stats.Summary
 	intensity trace.MemIntensity
 	served    uint64
+	// free holds bursts whose completion has run, for reuse by AccessBurst.
+	free []*burst
 }
 
 // New creates a DIMM attached to the given channel.
@@ -83,6 +85,73 @@ func New(eng *sim.Engine, ch *bus.Channel, cfg Config) *DIMM {
 		}
 	}
 	return d
+}
+
+// burst is one in-flight AccessBurst. Its three callbacks are method
+// values bound once when the struct is first allocated, and the struct is
+// pooled on its DIMM, so a burst schedules its events without allocating.
+type burst struct {
+	d       *DIMM
+	bk      *bank
+	n       int
+	hold    sim.Time
+	issueAt sim.Time
+	lat     sim.Time
+	done    func(lat sim.Time)
+
+	acquireFn func()
+	grantedFn func(start sim.Time)
+	finishFn  func()
+}
+
+// getBurst takes a burst from the free list, allocating one only when the
+// list is empty.
+func (d *DIMM) getBurst() *burst {
+	if n := len(d.free); n > 0 {
+		b := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		return b
+	}
+	b := &burst{d: d}
+	b.acquireFn = b.acquire
+	b.grantedFn = b.granted
+	b.finishFn = b.finish
+	return b
+}
+
+// putBurst returns b to the free list, dropping its completion callback.
+func (d *DIMM) putBurst(b *burst) {
+	b.done = nil
+	d.free = append(d.free, b)
+}
+
+// acquire runs once the bank's column is ready and contends for the
+// channel for the burst's data transfer.
+func (b *burst) acquire() { b.d.channel.Acquire(bus.PriMem, b.hold, b.grantedFn) }
+
+// granted runs when the channel starts the transfer: it settles the
+// bank's ready time and the latency, then schedules the completion.
+func (b *burst) granted(burstStart sim.Time) {
+	d := b.d
+	finish := burstStart + TCL + b.hold
+	b.bk.readyAt = finish
+	b.lat = finish - b.issueAt
+	d.latency.Add(float64(b.lat))
+	d.served += uint64(b.n)
+	if b.done == nil {
+		d.putBurst(b)
+		return
+	}
+	d.eng.At(finish, b.finishFn)
+}
+
+// finish delivers the completion. The burst goes back to the pool before
+// done runs, because done may issue the next burst.
+func (b *burst) finish() {
+	done, lat := b.done, b.lat
+	b.d.putBurst(b)
+	done(lat)
 }
 
 // mapAddr decomposes a physical address into rank, bank, row. Bits [6,8)
@@ -119,11 +188,9 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 	if n < 1 {
 		n = 1
 	}
-	for i := 0; i < n; i++ {
-		d.intensity.Observe(req)
-	}
-	rank, b, row := mapAddr(req.Addr)
-	bk := &d.banks[rank][b]
+	d.intensity.ObserveN(req, n)
+	rank, bi, row := mapAddr(req.Addr)
+	bk := &d.banks[rank][bi]
 
 	now := d.eng.Now()
 	start := now
@@ -146,26 +213,17 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 		bk.rowMisses++
 	}
 	bk.openRow = row
-	colReady := start + prep
 
-	// The data burst occupies the shared channel; contend for it.
-	hold := sim.Time(n) * BurstTime
-	d.eng.At(colReady, func() {
-		d.channel.Acquire(bus.PriMem, hold, func(burstStart sim.Time) {
-			finish := burstStart + TCL + hold
-			bk.readyAt = finish
-			issueAt := req.At
-			if issueAt == 0 {
-				issueAt = now
-			}
-			lat := finish - issueAt
-			d.latency.Add(float64(lat))
-			d.served += uint64(n)
-			if done != nil {
-				d.eng.At(finish, func() { done(lat) })
-			}
-		})
-	})
+	// The data burst occupies the shared channel; contend for it once the
+	// column is ready.
+	b := d.getBurst()
+	b.bk, b.n, b.done = bk, n, done
+	b.hold = sim.Time(n) * BurstTime
+	b.issueAt = req.At
+	if b.issueAt == 0 {
+		b.issueAt = now
+	}
+	d.eng.At(start+prep, b.acquireFn)
 }
 
 // Served returns the number of requests completed.

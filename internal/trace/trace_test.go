@@ -243,6 +243,11 @@ func TestMemIntensity(t *testing.T) {
 	if m.Reads() != 2 || m.Writes() != 1 || m.Total() != 3 {
 		t.Fatalf("counts = %d/%d/%d", m.Reads(), m.Writes(), m.Total())
 	}
+	m.ObserveN(MemRequest{Op: MemRead}, 64)
+	m.ObserveN(MemRequest{Op: MemWrite}, 16)
+	if m.Reads() != 66 || m.Writes() != 17 {
+		t.Fatalf("after ObserveN counts = %d/%d", m.Reads(), m.Writes())
+	}
 	m.Reset()
 	if m.Total() != 0 {
 		t.Fatal("reset failed")

@@ -22,8 +22,10 @@ type MemGen struct {
 	// Scale multiplies the profile's access rate (default 1).
 	Scale float64
 
-	running     bool
-	next        *sim.Timer // pending tick; Stop cancels it
+	running bool
+	// next is the one tick timer, created by the first tick and re-armed
+	// with Reset after that; Stop cancels it.
+	next        *sim.Timer
 	issued      uint64
 	addr        uint64
 	outstanding int
@@ -34,11 +36,20 @@ type MemGen struct {
 	// transaction queue without bound (default 64, ~ half the Table 4
 	// DRAM transaction-queue depth in burst units).
 	MaxOutstanding int
+
+	// tickFn and doneFn are g.tick and g.burstDone bound once, so a tick
+	// passes the same func values to the timer and the DIMM every time
+	// instead of allocating them.
+	tickFn func()
+	doneFn func(sim.Time)
 }
 
 // NewMemGen builds a generator for the DIMM.
 func NewMemGen(eng *sim.Engine, rng *sim.RNG, dimm *dram.DIMM, p MemProfile) *MemGen {
-	return &MemGen{eng: eng, rng: rng, dimm: dimm, profile: p, Aggregation: 16, Scale: 1, MaxOutstanding: 64}
+	g := &MemGen{eng: eng, rng: rng, dimm: dimm, profile: p, Aggregation: 16, Scale: 1, MaxOutstanding: 64}
+	g.tickFn = g.tick
+	g.doneFn = g.burstDone
+	return g
 }
 
 // Profile returns the generator's profile.
@@ -82,9 +93,27 @@ func (g *MemGen) Start() {
 // Stop ceases generation and cancels the pending tick.
 func (g *MemGen) Stop() {
 	g.running = false
-	if g.next != nil {
-		g.next.Stop()
-		g.next = nil
+	g.next.Stop()
+}
+
+// arm schedules the next tick after delay, reusing the one timer. Reset
+// takes a fresh sequence number exactly as After does, so re-arming keeps
+// the event order a new timer would have.
+func (g *MemGen) arm(delay sim.Time) {
+	if g.next == nil {
+		g.next = g.eng.After(delay, g.tickFn)
+		return
+	}
+	g.next.Reset(delay)
+}
+
+// burstDone retires one burst and resumes a generator that was throttled
+// at MaxOutstanding.
+func (g *MemGen) burstDone(sim.Time) {
+	g.outstanding--
+	if g.waiting {
+		g.waiting = false
+		g.tick()
 	}
 }
 
@@ -102,7 +131,7 @@ func (g *MemGen) tick() {
 	rate := g.profile.AccessesPerSecond(g.Scale) * g.phaseFactor(now)
 	if rate <= 0 {
 		// Idle phase: re-check at the next phase boundary.
-		g.next = g.eng.After(g.profile.PhasePeriod/8+sim.Microsecond, g.tick)
+		g.arm(g.profile.PhasePeriod/8 + sim.Microsecond)
 		return
 	}
 	// Inter-burst gap so that Aggregation cachelines per burst hits the
@@ -126,12 +155,6 @@ func (g *MemGen) tick() {
 	}
 	g.issued += uint64(g.Aggregation)
 	g.outstanding++
-	g.dimm.AccessBurst(trace.MemRequest{Op: op, Addr: g.addr, At: now}, g.Aggregation, func(sim.Time) {
-		g.outstanding--
-		if g.waiting {
-			g.waiting = false
-			g.tick()
-		}
-	})
-	g.next = g.eng.After(gap, g.tick)
+	g.dimm.AccessBurst(trace.MemRequest{Op: op, Addr: g.addr, At: now}, g.Aggregation, g.doneFn)
+	g.arm(gap)
 }
