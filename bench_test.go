@@ -334,7 +334,7 @@ type benchEngineRecord struct {
 	Events        uint64  `json:"events"`
 	EventsPerSec  float64 `json:"events_per_sec"`
 	NsPerEvent    float64 `json:"ns_per_event"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
+	AllocsPerOp   uint64  `json:"allocs_per_op"`
 	Inserts       uint64  `json:"inserts"`
 	Dispatches    uint64  `json:"dispatches"`
 	MaxTimerDepth int     `json:"max_timer_depth"`
@@ -386,13 +386,17 @@ func BenchmarkEngineHotPath(b *testing.B) {
 	runtime.ReadMemStats(&ms1)
 	b.StopTimer()
 	prof := eng.Profile()
-	allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
+	// Whole allocations per op, counted the way testing.AllocsPerRun
+	// does: integer mallocs ÷ runs. The delta is process-wide, so one
+	// stray runtime allocation over the run must not read as a fraction;
+	// an allocation on every dispatch still reads ≥ 1.
+	allocs := (ms1.Mallocs - ms0.Mallocs) / uint64(b.N)
 	perSec := 0.0
 	if wall > 0 {
 		perSec = float64(b.N) / wall.Seconds()
 	}
 	b.ReportMetric(perSec, "events/sec")
-	b.ReportMetric(allocs, "allocs/event")
+	b.ReportMetric(float64(allocs), "allocs/event")
 	rec := benchEngineRecord{
 		GOMAXPROCS:         runtime.GOMAXPROCS(0),
 		Timers:             nTimers,
@@ -416,16 +420,14 @@ func BenchmarkEngineHotPath(b *testing.B) {
 }
 
 // benchMgmtRow is one cell of the BENCH_mgmt.json scale matrix: one
-// (fleet scale, pipeline mode) pair. Mode is "incremental" (the default
-// dirty-set pipeline) or "fullsweep" (Config.FullSweep reference).
+// fleet scale.
 type benchMgmtRow struct {
-	Scale       int    `json:"scale"` // fleet multiplier: 1, 10, 100
-	Mode        string `json:"mode"`
-	Nodes       int    `json:"nodes"`
-	Stores      int    `json:"stores"`
-	VMDKs       int    `json:"vmdks"`
-	ActiveVMDKs int    `json:"active_vmdks"` // runners issuing I/O (fixed across scales)
-	Iterations  int    `json:"iterations"`
+	Scale       int `json:"scale"` // fleet multiplier: 1, 10, 100
+	Nodes       int `json:"nodes"`
+	Stores      int `json:"stores"`
+	VMDKs       int `json:"vmdks"`
+	ActiveVMDKs int `json:"active_vmdks"` // runners issuing I/O (fixed across scales)
+	Iterations  int `json:"iterations"`
 	// WindowWallUS is the mean wall-clock cost of simulating one
 	// management window: one epoch of the observe → plan → execute
 	// pipeline plus the foreground I/O that populates its windows.
@@ -443,22 +445,22 @@ type benchMgmtFile struct {
 	Records    []benchMgmtRow `json:"records"`
 }
 
-const benchMgmtClaim = "with a fixed active set (32 runners), incremental " +
-	"epoch cost tracks activity, not fleet size: window_wall_us grows " +
-	"sublinearly in scale, while fullsweep pays O(stores + vmdks) per epoch"
+const benchMgmtClaim = "with a fixed active set (32 runners), the epoch " +
+	"costs O(stores + touched VMDKs): window_wall_us grows sublinearly in " +
+	"scale, because per-VMDK work walks only the touched VMDKs"
 
 // benchMgmtRows accumulates cells across the BenchmarkManagerEpochScale
-// sub-benchmarks; keyed by scale/mode so go test's calibration reruns
+// sub-benchmarks; keyed by scale so go test's calibration reruns
 // overwrite instead of duplicating.
 var (
 	benchMgmtMu   sync.Mutex
-	benchMgmtRows = map[string]benchMgmtRow{}
+	benchMgmtRows = map[int]benchMgmtRow{}
 )
 
 // benchMgmtScales defines the matrix: 1× is the single-node baseline the
 // old BenchmarkManagerEpoch measured; 10× and 100× grow the fleet and
-// the VMDK population while the active set stays 32 runners, which is
-// exactly the shape the incremental pipeline is for.
+// the VMDK population while the active set stays 32 runners, so only
+// the per-store work and the idle VMDK population grow.
 var benchMgmtScales = []struct {
 	scale, nodes, vmdks int
 	vmdkSize            int64
@@ -469,22 +471,17 @@ var benchMgmtScales = []struct {
 }
 
 // writeBenchMgmt rewrites BENCH_mgmt.json from the accumulated cells and
-// enforces the scaling claim once both incremental endpoints are in: the
-// 100× incremental cell must cost less than 20× the 1× cell (a 100×
-// fleet with the same activity; the generous factor absorbs timer noise
-// while still failing on any return to per-epoch full sweeps).
+// enforces the scaling claim once both endpoints are in: the 100× cell
+// must cost less than 20× the 1× cell (a 100× fleet with the same
+// activity; the generous factor absorbs timer noise while still failing
+// on any return to per-epoch walks over every resident VMDK).
 func writeBenchMgmt(b *testing.B) {
 	b.Helper()
 	rows := make([]benchMgmtRow, 0, len(benchMgmtRows))
 	for _, r := range benchMgmtRows {
 		rows = append(rows, r)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Scale != rows[j].Scale {
-			return rows[i].Scale < rows[j].Scale
-		}
-		return rows[i].Mode < rows[j].Mode
-	})
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Scale < rows[j].Scale })
 	out := benchMgmtFile{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Scheme:     mgmt.Full().Name,
@@ -499,11 +496,11 @@ func writeBenchMgmt(b *testing.B) {
 	if err := os.WriteFile("BENCH_mgmt.json", append(data, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	inc1, ok1 := benchMgmtRows["1/incremental"]
-	inc100, ok100 := benchMgmtRows["100/incremental"]
-	if ok1 && ok100 && inc100.WindowWallUS > 20*inc1.WindowWallUS {
-		b.Errorf("scaling claim violated: incremental window cost grew %.1f× over a 100× fleet (1×: %.0fµs, 100×: %.0fµs)",
-			inc100.WindowWallUS/inc1.WindowWallUS, inc1.WindowWallUS, inc100.WindowWallUS)
+	one, ok1 := benchMgmtRows[1]
+	hundred, ok100 := benchMgmtRows[100]
+	if ok1 && ok100 && hundred.WindowWallUS > 20*one.WindowWallUS {
+		b.Errorf("scaling claim violated: window cost grew %.1f× over a 100× fleet (1×: %.0fµs, 100×: %.0fµs)",
+			hundred.WindowWallUS/one.WindowWallUS, one.WindowWallUS, hundred.WindowWallUS)
 	}
 }
 
@@ -512,80 +509,73 @@ func writeBenchMgmt(b *testing.B) {
 // full scheme (contention-aware estimation, redirection, tagging), and a
 // fixed 32-runner foreground so activity is constant while the fleet
 // grows 1× → 10× → 100×. One benchmark iteration advances the simulation
-// by exactly one management window — one epoch. Each scale runs both the
-// default incremental pipeline and the Config.FullSweep reference; the
-// cells land in BENCH_mgmt.json with the complexity claim, and the
-// benchmark itself fails if the incremental 100× cell stops being
-// sublinear in fleet size.
+// by exactly one management window — one epoch. The cells land in
+// BENCH_mgmt.json with the complexity claim, and the benchmark itself
+// fails if the 100× cell stops being sublinear in fleet size.
 func BenchmarkManagerEpochScale(b *testing.B) {
 	const nActive = 32
 	model := benchSharedModel(b)
 	for _, sc := range benchMgmtScales {
-		for _, mode := range []string{"incremental", "fullsweep"} {
-			sc, mode := sc, mode
-			b.Run(fmt.Sprintf("scale%dx/%s", sc.scale, mode), func(b *testing.B) {
-				c := cluster.New()
-				for n := 0; n < sc.nodes; n++ {
-					if _, err := c.AddNode(cluster.NodeConfig{
-						Name:     fmt.Sprintf("bench%d", n),
-						Channels: 4,
-						NVDIMM:   core.ScaledNVDIMMConfig(fmt.Sprintf("nv%d", n)),
-						SSD:      core.ScaledSSDConfig(fmt.Sprintf("ssd%d", n)),
-						HDD:      core.ScaledHDDConfig(fmt.Sprintf("hdd%d", n), uint64(7+n)),
-					}, sim.NewRNG(uint64(7+n))); err != nil {
-						b.Fatal(err)
-					}
-				}
-				stores := c.AllStores()
-				cfg := mgmt.DefaultConfig()
-				cfg.Window = sim.Millisecond
-				cfg.MinWindowRequests = 1
-				cfg.FullSweep = mode == "fullsweep"
-				mgr := mgmt.NewManager(c.Eng, cfg, mgmt.Full(), stores)
-				mgr.SetModel(device.KindNVDIMM, model)
-				p := workload.Profile{Name: "bench", WriteRatio: 0.3, ReadRand: 0.5, WriteRand: 0.5,
-					IOSize: 4096, OIO: 1, Footprint: sc.vmdkSize, ThinkTime: 100 * sim.Microsecond}
-				// Round-robin placement spreads VMDKs — and the first
-				// nActive runners — across the whole fleet.
-				for i := 0; i < sc.vmdks; i++ {
-					v, err := stores[i%len(stores)].CreateVMDK(i+1, sc.vmdkSize)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i < nActive {
-						workload.NewRunner(c.Eng, sim.NewRNG(uint64(i)+1), p, v, i).Start()
-					}
-				}
-				mgr.Start()
-				if err := c.Eng.RunFor(2 * cfg.Window); err != nil { // warm the windows
+		b.Run(fmt.Sprintf("scale%dx", sc.scale), func(b *testing.B) {
+			c := cluster.New()
+			for n := 0; n < sc.nodes; n++ {
+				if _, err := c.AddNode(cluster.NodeConfig{
+					Name:     fmt.Sprintf("bench%d", n),
+					Channels: 4,
+					NVDIMM:   core.ScaledNVDIMMConfig(fmt.Sprintf("nv%d", n)),
+					SSD:      core.ScaledSSDConfig(fmt.Sprintf("ssd%d", n)),
+					HDD:      core.ScaledHDDConfig(fmt.Sprintf("hdd%d", n), uint64(7+n)),
+				}, sim.NewRNG(uint64(7+n))); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					if err := c.Eng.RunFor(cfg.Window); err != nil {
-						b.Fatal(err)
-					}
+			}
+			stores := c.AllStores()
+			cfg := mgmt.DefaultConfig()
+			cfg.Window = sim.Millisecond
+			cfg.MinWindowRequests = 1
+			mgr := mgmt.NewManager(c.Eng, cfg, mgmt.Full(), stores)
+			mgr.SetModel(device.KindNVDIMM, model)
+			p := workload.Profile{Name: "bench", WriteRatio: 0.3, ReadRand: 0.5, WriteRand: 0.5,
+				IOSize: 4096, OIO: 1, Footprint: sc.vmdkSize, ThinkTime: 100 * sim.Microsecond}
+			// Round-robin placement spreads VMDKs — and the first
+			// nActive runners — across the whole fleet.
+			for i := 0; i < sc.vmdks; i++ {
+				v, err := stores[i%len(stores)].CreateVMDK(i+1, sc.vmdkSize)
+				if err != nil {
+					b.Fatal(err)
 				}
-				wall := time.Since(start)
-				b.StopTimer()
-				b.ReportMetric(wall.Seconds()*1e6/float64(b.N), "window_wall_us/op")
-				benchMgmtMu.Lock()
-				defer benchMgmtMu.Unlock()
-				benchMgmtRows[fmt.Sprintf("%d/%s", sc.scale, mode)] = benchMgmtRow{
-					Scale:        sc.scale,
-					Mode:         mode,
-					Nodes:        sc.nodes,
-					Stores:       len(stores),
-					VMDKs:        sc.vmdks,
-					ActiveVMDKs:  nActive,
-					Iterations:   b.N,
-					WindowWallUS: wall.Seconds() * 1e6 / float64(b.N),
-					Migrations:   int64(mgr.Stats().MigrationsStarted),
+				if i < nActive {
+					workload.NewRunner(c.Eng, sim.NewRNG(uint64(i)+1), p, v, i).Start()
 				}
-				writeBenchMgmt(b)
-			})
-		}
+			}
+			mgr.Start()
+			if err := c.Eng.RunFor(2 * cfg.Window); err != nil { // warm the windows
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if err := c.Eng.RunFor(cfg.Window); err != nil {
+					b.Fatal(err)
+				}
+			}
+			wall := time.Since(start)
+			b.StopTimer()
+			b.ReportMetric(wall.Seconds()*1e6/float64(b.N), "window_wall_us/op")
+			benchMgmtMu.Lock()
+			defer benchMgmtMu.Unlock()
+			benchMgmtRows[sc.scale] = benchMgmtRow{
+				Scale:        sc.scale,
+				Nodes:        sc.nodes,
+				Stores:       len(stores),
+				VMDKs:        sc.vmdks,
+				ActiveVMDKs:  nActive,
+				Iterations:   b.N,
+				WindowWallUS: wall.Seconds() * 1e6 / float64(b.N),
+				Migrations:   int64(mgr.Stats().MigrationsStarted),
+			}
+			writeBenchMgmt(b)
+		})
 	}
 }
 

@@ -15,21 +15,18 @@ import (
 // grammar, and an undocumented symbol there is an undocumented knob. So
 // are internal/invariant and internal/chaos: a violation or scenario
 // report is only as actionable as the docs on the symbols it names.
-// internal/mgmt/storeindex carries the planner's ordering invariants
-// (heap tie-breaking must match the full-sweep scan), which exist only
-// in its doc comments. internal/sim is the root of all of it: the
+// internal/sim is the root of all of it: the
 // Timer lifecycle rules (DESIGN.md §15) and the dispatch-order
 // contract live in its godoc, and every layer schedules through it.
 var exportedDocRel = map[string]bool{
-	"internal/sim":             true,
-	"internal/runpool":         true,
-	"internal/lint":            true,
-	"internal/telemetry":       true,
-	"internal/mgmt/policy":     true,
-	"internal/mgmt/slo":        true,
-	"internal/mgmt/storeindex": true,
-	"internal/invariant":       true,
-	"internal/chaos":           true,
+	"internal/sim":         true,
+	"internal/runpool":     true,
+	"internal/lint":        true,
+	"internal/telemetry":   true,
+	"internal/mgmt/policy": true,
+	"internal/mgmt/slo":    true,
+	"internal/invariant":   true,
+	"internal/chaos":       true,
 }
 
 // checkDocs is the generalization of the repository's original doc-lint

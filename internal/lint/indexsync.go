@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// checkIndexSync enforces the DESIGN.md §14 index/state consistency
-// rule: struct fields that feed derived indexes (the storeindex heap
-// keys, quarantine membership, slot bookkeeping) may only be written by
-// their canonical helpers, so the index maintenance those helpers
-// perform can never be skipped. The protected fields and their writers
+// checkIndexSync enforces the DESIGN.md §10 derived-state consistency
+// rule: struct fields that feed derived state (the extent allocator's
+// bump offset and allocated total, which the device's used-bytes mirror
+// tracks) may only be written by their canonical helpers, so the upkeep
+// those helpers perform can never be skipped. The protected fields and their writers
 // are declared next to the data with //lint:guarded-by (grammar in
 // guard.go); any assignment, compound assignment, or ++/-- targeting a
 // guarded field from a function not on the guard list is a finding.

@@ -23,23 +23,15 @@ type Datastore struct {
 	nextOffset int64 //lint:guarded-by Datastore.allocExtent
 	allocated  int64 //lint:guarded-by Datastore.allocExtent,Datastore.releaseExtent
 
-	// Incremental-management bookkeeping (DESIGN.md §14). slot is the
-	// store's dense index in its manager's store list; onDirty (set by
-	// NewManager) marks the store for the next epoch's worklist; touched
-	// lists the VMDKs with nonzero window counters so window resets and
-	// candidate selection cost O(activity), not O(resident VMDKs).
-	//lint:guarded-by Manager.initIncremental
-	slot    int
-	onDirty func()
+	// touched lists the VMDKs with nonzero window counters, so window
+	// resets and candidate selection cost O(active VMDKs), not O(resident
+	// VMDKs).
 	touched []*VMDK
 
 	// Quarantine state (failure-aware management): a quarantined store is
 	// excluded from placement and migration-candidate selection, and its
 	// VMDKs are evacuated. cleanWindows counts consecutive error-free
-	// epochs toward probation release. The storeindex heaps key on
-	// quarantine membership, so the write must go through the helper
-	// that reindexes.
-	//lint:guarded-by Manager.setQuarantined
+	// epochs toward probation release.
 	quarantined   bool
 	quarantinedAt sim.Time
 	cleanWindows  int
@@ -87,22 +79,12 @@ func (d *Datastore) VMDKs() []*VMDK {
 // NumVMDKs returns the resident count.
 func (d *Datastore) NumVMDKs() int { return len(d.vmdks) }
 
-// markDirty flags the store for the next epoch's incremental worklist
-// (no-op when the store is not under incremental management).
-func (d *Datastore) markDirty() {
-	if d.onDirty != nil {
-		d.onDirty()
-	}
-}
-
 // noteTouched registers a VMDK whose window counters just became
-// nonzero. The primary store is marked dirty even when the I/O itself
-// routes to a migration destination (mirrored writes): candidate
-// selection reads the VMDK's counters through its *primary* store, so
-// the primary must be observed and reset this window.
+// nonzero. The VMDK joins its *primary* store's list even when the I/O
+// itself routes to a migration destination (mirrored writes): candidate
+// selection reads the VMDK's counters through its primary store.
 func (d *Datastore) noteTouched(v *VMDK) {
 	d.touched = append(d.touched, v)
-	d.markDirty()
 }
 
 // allocExtent reserves size bytes, returning the base offset.
@@ -118,7 +100,6 @@ func (d *Datastore) allocExtent(size int64) (int64, error) {
 	d.nextOffset += size
 	d.allocated += size
 	d.Dev.SetUsed(d.allocated)
-	d.markDirty() // free-space ratio changed; cached window snapshots stale
 	return base, nil
 }
 
@@ -131,7 +112,6 @@ func (d *Datastore) releaseExtent(size int64) {
 		d.allocated = 0
 	}
 	d.Dev.SetUsed(d.allocated)
-	d.markDirty()
 }
 
 // CreateVMDK allocates a new VMDK on this datastore.
@@ -172,21 +152,10 @@ func (d *Datastore) WindowLoad() uint64 {
 	return sum
 }
 
-// resetWindow clears monitor and VMDK windows (the full-sweep reset:
-// every resident VMDK, whether or not it saw traffic).
+// resetWindow clears the monitor, device, and VMDK windows. VMDK
+// counters are cleared through the touched list: untouched VMDKs are
+// already zero.
 func (d *Datastore) resetWindow() {
-	d.Mon.ResetWindow()
-	d.Dev.Metrics().ResetWindow(0)
-	for _, v := range d.vmdks {
-		v.resetWindow()
-	}
-	d.touched = d.touched[:0]
-}
-
-// resetWindowTouched is the incremental window reset: identical state
-// transition to resetWindow, but VMDK counters are cleared through the
-// touched list — untouched VMDKs are already zero.
-func (d *Datastore) resetWindowTouched() {
 	d.Mon.ResetWindow()
 	d.Dev.Metrics().ResetWindow(0)
 	for _, v := range d.touched {

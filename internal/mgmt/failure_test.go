@@ -425,33 +425,40 @@ func TestQuarantinedStoreExcludedFromPlacement(t *testing.T) {
 }
 
 func TestQuarantinedStoreExcludedFromBalancing(t *testing.T) {
-	eng := sim.NewEngine()
-	fa := newFlaky(eng, "a", 10*sim.Microsecond)
-	fb := newFlaky(eng, "b", 10*sim.Microsecond)
-	a := NewDatastore(fa, 0)
-	b := NewDatastore(fb, 0)
-	cfg := quickCfg()
-	cfg.Window = sim.Millisecond
-	cfg.MinWindowRequests = 2
-	mgr := NewManager(eng, cfg, BASIL(), []*Datastore{a, b})
-	v, err := a.CreateVMDK(1, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	// a is slow and loaded, b idle and healthy: a maximal imbalance with b
+	// as the only possible destination. Quarantined, b must never be
+	// chosen; a long probation keeps it quarantined for the whole run.
+	// The control run without quarantine must migrate, or the scenario
+	// would pass without ever reaching the destination check.
+	run := func(quarantine bool) Stats {
+		eng := sim.NewEngine()
+		a := NewDatastore(newFlaky(eng, "a", 2*sim.Millisecond), 0)
+		b := NewDatastore(newFlaky(eng, "b", 10*sim.Microsecond), 0)
+		cfg := quickCfg()
+		cfg.Window = 5 * sim.Millisecond
+		cfg.MinWindowRequests = 2
+		cfg.ProbationWindows = 1000
+		mgr := NewManager(eng, cfg, BASIL(), []*Datastore{a, b})
+		v, err := a.CreateVMDK(1, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.quarantined = quarantine
+		p := workload.Profile{Name: "w", WriteRatio: 0.5, ReadRand: 0.8, WriteRand: 0.8,
+			IOSize: 4096, OIO: 8, Footprint: 1 << 20}
+		r := workload.NewRunner(eng, sim.NewRNG(1), p, v, 0)
+		r.Start()
+		mgr.Start()
+		eng.RunFor(40 * sim.Millisecond)
+		r.Stop()
+		mgr.Stop()
+		eng.Run()
+		return mgr.Stats()
 	}
-	// b is quarantined: even a maximal imbalance must not select it as a
-	// migration destination. The manager helper keeps the incremental
-	// worklist and indexes consistent with the flag.
-	mgr.setQuarantined(b, true)
-	p := workload.Profile{Name: "w", WriteRatio: 0.5, ReadRand: 0.8, WriteRand: 0.8,
-		IOSize: 4096, OIO: 8, Footprint: 1 << 20}
-	r := workload.NewRunner(eng, sim.NewRNG(1), p, v, 0)
-	r.Start()
-	mgr.Start()
-	eng.RunFor(20 * sim.Millisecond)
-	r.Stop()
-	mgr.Stop()
-	eng.Run()
-	if mgr.Stats().MigrationsStarted != 0 {
-		t.Fatalf("migrated onto a quarantined store: %+v", mgr.Stats())
+	if st := run(false); st.MigrationsStarted == 0 {
+		t.Fatalf("control: a healthy idle destination never attracted a migration: %+v", st)
+	}
+	if st := run(true); st.MigrationsStarted != 0 || st.Readmissions != 0 {
+		t.Fatalf("migrated onto a quarantined store: %+v", st)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/invariant"
-	"repro/internal/mgmt/storeindex"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -77,16 +76,6 @@ type Config struct {
 	// epoch off quarantined stores (in addition to, not gated by,
 	// MaxConcurrentMigrations). Default 2.
 	MaxConcurrentEvacuations int
-
-	// FullSweep disables incremental epoch processing (DESIGN.md §14):
-	// every epoch re-reads every store's window, rebuilds the whole
-	// performance vector, and resets every window, exactly as the
-	// pre-incremental pipeline did. The two modes are decision-for-
-	// decision equivalent — FullSweep exists as the O(stores × VMDKs)
-	// reference the differential tests compare the incremental path
-	// against, and as an escape hatch. It is a construction-time choice:
-	// flipping it on a running manager is unsupported.
-	FullSweep bool
 
 	// Journal arms the durable migration journal (DESIGN.md §13): intent/
 	// progress/commit/abort records at chunk granularity, enabling crash
@@ -177,25 +166,9 @@ type Manager struct {
 	journal      *Journal
 	inv          *invariant.Checker
 
-	// Incremental epoch state (DESIGN.md §14). perfs is the persistent
-	// per-store performance vector the observe stage updates in place;
-	// st carries each store's dirty/settled bookkeeping; pending and
-	// work are the next and current epoch's worklists (store slots);
-	// quarSlots lists quarantined slots (always re-observed); srcIdx and
-	// dstIdx order balance-eligible sources by -Norm and destinations by
-	// PerfUS so the planner's max/min scans are O(log stores).
-	perfs     []StorePerf
-	st        []storeState
-	pending   []int
-	work      []int
-	quarSlots []int
-	srcIdx    storeindex.Index
-	dstIdx    storeindex.Index
-
 	// OnEpoch, when set, observes each epoch's per-store performance
-	// vector (experiment instrumentation). Under incremental management
-	// (the default) the slice is reused across epochs: consumers must
-	// read it synchronously, not retain it.
+	// vector (experiment instrumentation). Each epoch builds a fresh
+	// slice, so consumers may retain it.
 	OnEpoch func(perf []StorePerf)
 }
 
@@ -273,7 +246,6 @@ func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore)
 	if cfg.Journal {
 		m.journal = newJournal(eng, cfg.JournalAppendDelay)
 	}
-	m.initIncremental()
 	return m
 }
 
@@ -456,12 +428,8 @@ func (m *Manager) epoch() {
 			telemetry.I("bytes_copied", m.stats.BytesCopied))
 	}
 
-	if m.cfg.FullSweep {
-		for _, ds := range m.stores {
-			ds.resetWindow()
-		}
-	} else {
-		m.resetDirtyWindows()
+	for _, ds := range m.stores {
+		ds.resetWindow()
 	}
 	m.checkInvariants("epoch")
 }

@@ -129,23 +129,41 @@ func TestCostBenefitPositiveWhenDestinationFaster(t *testing.T) {
 	}
 }
 
+// TestHysteresisBlocksRecentMover hands BalancePlanner a clear imbalance
+// whose only candidate is a VMDK with window traffic that moved last
+// epoch: the MinResidenceWindows hysteresis must block it. The control,
+// the same VMDK with no move history, must migrate, so the test fails if
+// the hysteresis check is removed.
 func TestHysteresisBlocksRecentMover(t *testing.T) {
-	n := newNode(t)
-	cfg := quickCfg()
-	cfg.MinResidenceWindows = 100 // effectively forever within the test
-	cfg.FullSweep = true          // Plan is fed a hand-built vector, not the manager's
-	mgr := NewManager(n.eng, cfg, BASIL(), n.dss)
-	v, _ := n.dss[2].CreateVMDK(1, 8<<20)
-	v.lastMoveEpoch = 1
-	mgr.stats.Epochs = 2
-	perfs := []StorePerf{
-		{Store: n.dss[0], PerfUS: 100, Norm: 1, Requests: 10},
-		{Store: n.dss[2], PerfUS: 9000, Norm: 10, Requests: 10},
-	}
-	mgr.cfg.DebounceWindows = 1
-	BalancePlanner{}.Plan(mgr, perfs)
-	if mgr.Stats().MigrationsStarted != 0 {
-		t.Fatal("hysteresis ignored: recent mover re-migrated")
+	for _, tc := range []struct {
+		name          string
+		lastMoveEpoch uint64
+		wantStarted   uint64
+	}{
+		{"recent_mover", 1, 0},
+		{"never_moved", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := newNode(t)
+			cfg := quickCfg()
+			cfg.MinResidenceWindows = 100 // effectively forever within the test
+			cfg.DebounceWindows = 1
+			mgr := NewManager(n.eng, cfg, BASIL(), n.dss)
+			v, _ := n.dss[2].CreateVMDK(1, 8<<20)
+			v.windowRequests = 10
+			n.dss[2].noteTouched(v)
+			v.lastMoveEpoch = tc.lastMoveEpoch
+			mgr.stats.Epochs = 2
+			perfs := []StorePerf{
+				{Store: n.dss[0], PerfUS: 100, Norm: 1, Requests: 10},
+				{Store: n.dss[2], PerfUS: 9000, Norm: 10, Requests: 10},
+			}
+			BalancePlanner{}.Plan(mgr, perfs)
+			if got := mgr.Stats().MigrationsStarted; got != tc.wantStarted {
+				t.Fatalf("migrations started = %d, want %d (lastMoveEpoch %d, epoch %d)",
+					got, tc.wantStarted, tc.lastMoveEpoch, mgr.stats.Epochs)
+			}
+		})
 	}
 }
 

@@ -73,20 +73,13 @@ func (g *Migration) regate(perfs []StorePerf) {
 		return
 	}
 	var srcP, dstP *StorePerf
-	if g.mgr.cfg.FullSweep {
-		for i := range perfs {
-			if perfs[i].Store == g.src {
-				srcP = &perfs[i]
-			}
-			if perfs[i].Store == g.dst {
-				dstP = &perfs[i]
-			}
+	for i := range perfs {
+		if perfs[i].Store == g.src {
+			srcP = &perfs[i]
 		}
-	} else {
-		// Incremental mode passes the manager's slot-ordered persistent
-		// vector, so both lookups are O(1).
-		srcP = &perfs[g.src.slot]
-		dstP = &perfs[g.dst.slot]
+		if perfs[i].Store == g.dst {
+			dstP = &perfs[i]
+		}
 	}
 	if srcP == nil || dstP == nil {
 		return

@@ -8,20 +8,12 @@ import "repro/internal/device"
 // too little signal, and EWMA-smooths the result across epochs
 // (Config.SmoothingAlpha). The idle estimate is computed once per store
 // and reused for both the low-signal fallback and the Norm load index.
-//
-// By default observation is incremental (DESIGN.md §14): only dirty,
-// settling, or quarantined stores are re-read, and the rest of the
-// persistent performance vector is returned as-is — entry for entry what
-// a full sweep would recompute. Config.FullSweep restores the sweep.
 type SmoothingObserver struct{}
 
 // Observe builds the epoch's per-store performance vector, in store
 // order. The EWMA memory lives on the Manager (m.smoothed), keyed by
 // store, so the observer itself stays a stateless value.
 func (SmoothingObserver) Observe(m *Manager) []StorePerf {
-	if !m.cfg.FullSweep {
-		return m.observeIncremental()
-	}
 	perfs := make([]StorePerf, 0, len(m.stores))
 	for _, ds := range m.stores {
 		wc, mp, n := ds.Mon.Window()

@@ -35,23 +35,13 @@ func DefaultPlanners(gateProposals bool) Planners {
 // also aborts operator-paused copies whose destination was quarantined —
 // a paused copy cannot make progress off a failing device, and leaving
 // it active would pin the balancing budget forever.
-//
-// Incrementally (the default), only the epoch worklist is scanned: a
-// store can only enter quarantine when its window saw failures (failed
-// completions are window events, so such stores are always dirty), and
-// quarantined stores are on every epoch's worklist until readmitted.
 type FailurePlanner struct{}
 
-// Plan scans store window error rates and acts on transitions.
+// Plan scans every store's window error rate, in store order, and acts
+// on transitions.
 func (FailurePlanner) Plan(m *Manager, perfs []StorePerf) {
-	if m.cfg.FullSweep {
-		for slot := range perfs {
-			m.failureCheck(slot, perfs)
-		}
-	} else {
-		for _, slot := range m.work {
-			m.failureCheck(slot, perfs)
-		}
+	for i := range perfs {
+		m.failureCheck(&perfs[i], perfs)
 	}
 	// An operator-paused balancing copy whose destination just entered
 	// quarantine can never finish (the copy is stopped and the target is
@@ -66,15 +56,15 @@ func (FailurePlanner) Plan(m *Manager, perfs []StorePerf) {
 }
 
 // failureCheck runs the quarantine/probation/evacuation state machine
-// for one store, shared by the full-sweep and incremental passes.
-func (m *Manager) failureCheck(slot int, perfs []StorePerf) {
-	ds := perfs[slot].Store
+// for one store.
+func (m *Manager) failureCheck(sp *StorePerf, perfs []StorePerf) {
+	ds := sp.Store
 	errs := ds.Mon.WindowErrors()
 	if !ds.quarantined {
-		total := errs + perfs[slot].Requests
+		total := errs + sp.Requests
 		if errs >= m.cfg.QuarantineMinErrors && total > 0 &&
 			float64(errs)/float64(total) >= m.cfg.QuarantineErrorRate {
-			m.setQuarantined(ds, true)
+			ds.quarantined = true
 			ds.quarantinedAt = m.eng.Now()
 			ds.cleanWindows = 0
 			m.stats.Quarantines++
@@ -90,7 +80,7 @@ func (m *Manager) failureCheck(slot int, perfs []StorePerf) {
 			ds.cleanWindows = 0
 		}
 		if ds.cleanWindows >= m.cfg.ProbationWindows {
-			m.setQuarantined(ds, false)
+			ds.quarantined = false
 			m.stats.Readmissions++
 			m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionReadmit, Stage: StagePlan,
 				VMDK: -1, Src: ds.Dev.Name(),
@@ -185,21 +175,11 @@ type BalancePlanner struct {
 }
 
 // Plan runs one balancing pass, respecting MaxConcurrentMigrations.
-// Source/destination selection is O(log stores) through the manager's
-// incremental indexes; Config.FullSweep restores the original sweep over
-// the performance vector. Both modes pick the same pair: the indexes
-// order by (key, slot), which reproduces the sweep's strict-comparison
-// first-store-wins tie-breaking.
 func (p BalancePlanner) Plan(m *Manager, perfs []StorePerf) {
 	if m.balancingMigrations() >= m.cfg.MaxConcurrentMigrations {
 		return
 	}
-	var maxP, minP *StorePerf
-	if m.cfg.FullSweep {
-		maxP, minP = pickPairSweep(m, perfs)
-	} else {
-		maxP, minP = m.pickPairIndexed()
-	}
+	maxP, minP := pickPairSweep(m, perfs)
 	if maxP == nil || minP == nil || maxP == minP {
 		return
 	}
@@ -214,7 +194,7 @@ func (p BalancePlanner) Plan(m *Manager, perfs []StorePerf) {
 	}
 	src, dst := maxP.Store, minP.Store
 
-	cands := m.balanceCandidates(src)
+	cands := balanceCandidates(src)
 	for {
 		// Candidate: the busiest non-migrating VMDK on the overloaded
 		// store that fits on the destination, excluding recent movers
@@ -262,9 +242,9 @@ func (p BalancePlanner) Plan(m *Manager, perfs []StorePerf) {
 	}
 }
 
-// pickPairSweep is the full-sweep max/min selection over the epoch's
-// performance vector (the pre-incremental planner, kept as the
-// reference behavior for Config.FullSweep).
+// pickPairSweep selects the balancing pair in one scan of the epoch's
+// performance vector: the highest-Norm eligible source and the
+// lowest-PerfUS destination, the first store winning ties.
 func pickPairSweep(m *Manager, perfs []StorePerf) (maxP, minP *StorePerf) {
 	for i := range perfs {
 		sp := &perfs[i]
@@ -287,29 +267,13 @@ func pickPairSweep(m *Manager, perfs []StorePerf) (maxP, minP *StorePerf) {
 	return maxP, minP
 }
 
-// pickPairIndexed reads the max-Norm source and min-PerfUS destination
-// straight off the incremental indexes. Quarantined stores are absent
-// from both indexes, and source eligibility (resident VMDKs, enough
-// window signal) was folded in when the entries were last updated.
-func (m *Manager) pickPairIndexed() (maxP, minP *StorePerf) {
-	if srcSlot, _, ok := m.srcIdx.Min(); ok {
-		maxP = &m.perfs[srcSlot]
-	}
-	if dstSlot, _, ok := m.dstIdx.Min(); ok {
-		minP = &m.perfs[dstSlot]
-	}
-	return maxP, minP
-}
-
 // balanceCandidates returns the migration-candidate pool on the
-// overloaded store in ID order. The full sweep considers every resident
-// VMDK; incrementally only touched VMDKs can qualify — an untouched
-// VMDK has zero window requests, and a zero-request best candidate
-// never launches — so the pool is the store's touched list.
-func (m *Manager) balanceCandidates(src *Datastore) []*VMDK {
-	if m.cfg.FullSweep {
-		return src.VMDKs()
-	}
+// overloaded store in ID order. Only touched VMDKs can qualify — an
+// untouched VMDK has zero window requests, and a zero-request best
+// candidate never launches — so the pool is the store's touched list
+// (entries whose VMDK migrated away mid-window belong to the new
+// primary and are skipped).
+func balanceCandidates(src *Datastore) []*VMDK {
 	out := make([]*VMDK, 0, len(src.touched))
 	for _, v := range src.touched {
 		if v.src == src {
