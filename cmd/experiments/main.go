@@ -12,7 +12,7 @@
 //	            [-tail-out FILE] [-tail-ms N]
 //
 // -policy SPEC runs a policy study instead of the matrix: the spec (a
-// canonical scheme name or a stage composition like
+// canonical scheme name or a policy composition like
 // "est=predicted,exec=redirect,gate=copy" — see internal/mgmt/policy) is
 // compared against the canonical lineup on the Fig. 12 single-node
 // interference mix. The matrix experiments and their outputs are
@@ -59,7 +59,7 @@ func main() {
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
 	seed := flag.Uint64("seed", 99, "model-training seed")
 	jobs := flag.Int("jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS, 1 = sequential)")
-	policySpec := flag.String("policy", "", "run a policy study for this spec instead of the matrix (scheme name or stage composition)")
+	policySpec := flag.String("policy", "", "run a policy study for this spec instead of the matrix (scheme name or policy composition)")
 	scenarios := flag.Int("scenarios", 64, "scenario count for -exp chaos")
 	traceOut := flag.String("trace-out", "", "write spans from every built system (Chrome trace JSON; .jsonl = line-delimited)")
 	metricsOut := flag.String("metrics-out", "", "write sampled metrics from every built system as CSV")

@@ -20,10 +20,10 @@ import (
 )
 
 // migClass is the traffic class migration I/O carries under the full
-// scheme — taken from its execute stage, the same place the manager's
-// migration engine gets it, so this example stays honest if the tagging
-// policy ever changes.
-var migClass = mgmt.Full().Executor.Class()
+// scheme — taken from the scheme, the same place the manager's migration
+// engine gets it, so this example stays honest if the tagging policy
+// ever changes.
+var migClass = mgmt.Full().MigratedClass()
 
 // runScheduling measures application IOPS on a migration-loaded NVDIMM
 // under the given transaction-queue policy.

@@ -13,7 +13,7 @@ import (
 // PolicyStudyRow is one scheme's outcome in a policy study.
 type PolicyStudyRow struct {
 	Scheme string
-	// Composition is the scheme's stage composition (Scheme.Describe).
+	// Composition is the scheme's one-line policy (Scheme.Describe).
 	Composition string
 	// Custom marks the row coming from the user's spec rather than the
 	// canonical lineup.
@@ -25,7 +25,7 @@ type PolicyStudyRow struct {
 // PolicyStudyResult compares a custom policy composition against the
 // canonical scheme lineup on the Fig. 12 single-node interference mix
 // (big data + 429.mcf, MemScale 4) — the scenario where the estimate,
-// gate, and execute stages all visibly matter. It is not part of the
+// gate, and execute axes all visibly matter. It is not part of the
 // experiment matrix, so the matrix's golden digests are unaffected.
 type PolicyStudyResult struct {
 	Spec string

@@ -16,13 +16,7 @@ var crashSchemes = []struct {
 	{"basil", BASIL()},
 	{"pesto", Pesto()},
 	{"lightsrm", LightSRM()},
-	{"lazy-redirect", Scheme{
-		Name:      "lazy-redirect",
-		Observer:  SmoothingObserver{},
-		Estimator: MeasuredEstimator{},
-		Planner:   DefaultPlanners(false),
-		Executor:  RedirectExecutor{Tagged: true},
-	}},
+	{"lazy-redirect", Scheme{Name: "lazy-redirect", Redirect: true, Tagged: true}},
 }
 
 // journaledPair builds two healthy datastores under a journaled manager

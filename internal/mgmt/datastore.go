@@ -35,6 +35,12 @@ type Datastore struct {
 	quarantined   bool
 	quarantinedAt sim.Time
 	cleanWindows  int
+
+	// ewmaUS is the EWMA-smoothed decision latency of the last epoch
+	// (Config.SmoothingAlpha); ewmaSet is false until the first epoch
+	// observes the store.
+	ewmaUS  float64
+	ewmaSet bool
 }
 
 // NewDatastore wraps a device.

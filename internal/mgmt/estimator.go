@@ -2,39 +2,73 @@ package mgmt
 
 import (
 	"repro/internal/device"
+	"repro/internal/perfmodel"
 	"repro/internal/trace"
 )
 
-// MeasuredEstimator is the baseline estimate stage: the decision latency
-// is the measured window mean (BASIL/Pesto/LightSRM), and placement uses
-// the store's current decision latency unchanged. Under bus contention
-// the measurement wrongly attributes interconnect queuing to the device —
-// exactly the phantom the paper's contention-aware estimator strips.
-type MeasuredEstimator struct{}
-
-// EstimateUS returns the measured window latency unchanged (P_d = MP).
-func (MeasuredEstimator) EstimateUS(_ *Manager, _ *Datastore, _ trace.WC, measuredUS float64, _ int) float64 {
-	return measuredUS
+// observe builds the epoch's per-store performance vector, in store
+// order: each store's window decision latency (Eq. 5), the technology
+// idle estimate when the window has too little signal, EWMA-smoothed
+// across epochs (Config.SmoothingAlpha). The idle estimate is computed
+// once per store and reused for both the low-signal fallback and the
+// Norm load index.
+func (m *Manager) observe() []StorePerf {
+	perfs := make([]StorePerf, 0, len(m.stores))
+	for _, ds := range m.stores {
+		wc, mp, n := ds.Mon.Window()
+		idle := idleEstimateUS(ds.Dev.Kind())
+		var p float64
+		if n >= m.cfg.MinWindowRequests {
+			p = m.perfOf(ds, wc, mp, n)
+		} else {
+			// Too little signal: estimate from the device technology so
+			// an idle HDD is never mistaken for a fast destination.
+			p = idle
+		}
+		if ds.ewmaSet {
+			p = m.cfg.SmoothingAlpha*p + (1-m.cfg.SmoothingAlpha)*ds.ewmaUS
+		}
+		ds.ewmaUS, ds.ewmaSet = p, true
+		perfs = append(perfs, StorePerf{
+			Store: ds, WC: wc, MeasuredUS: mp, PerfUS: p,
+			Norm: p / idle, Requests: n,
+		})
+	}
+	return perfs
 }
 
-// PlacementUS returns the store's current decision latency: without a
-// model there is no way to predict the effect of the new VMDK.
-func (MeasuredEstimator) PlacementUS(_ *Manager, _ *Datastore, currentUS float64, _ trace.WC) float64 {
-	return currentUS
+// idleEstimateUS is the decision latency assumed for a store with too
+// little window traffic to measure: the characteristic lightly-loaded
+// latency of the technology (Table 1 shapes).
+func idleEstimateUS(k device.Kind) float64 {
+	switch k {
+	case device.KindNVDIMM:
+		return 100
+	case device.KindSSD:
+		return 350
+	default: // HDD
+		return 8000
+	}
 }
 
-// NeedsModel reports false: no trained model is consulted.
-func (MeasuredEstimator) NeedsModel() bool { return false }
+// nvdimmModel returns the installed NVDIMM model when the scheme predicts
+// (Scheme.Predicted) and ds is an NVDIMM store. Otherwise it reports
+// false and decisions use the measurement: conventional devices have no bus
+// contention to strip, and without a model there is nothing to predict
+// with.
+func (m *Manager) nvdimmModel(ds *Datastore) (perfmodel.Predictor, bool) {
+	if !m.scheme.Predicted || ds.Dev.Kind() != device.KindNVDIMM {
+		return nil, false
+	}
+	model, ok := m.models[device.KindNVDIMM]
+	return model, ok
+}
 
-// ContentionAwareEstimator is the §5.1 estimate stage: for NVDIMM stores
-// it returns the model-predicted contention-free performance PP instead
-// of the measured MP (Eq. 5), so bus contention is never mistaken for
-// device load. Conventional devices — and NVDIMMs before a model is
-// installed — fall back to the measurement.
-type ContentionAwareEstimator struct{}
-
-// EstimateUS returns the predicted contention-free latency for NVDIMM
-// stores when a model is installed, the measurement otherwise.
+// perfOf computes the decision latency P_d of Eq. 5 from a store's
+// window characterization, measured mean latency MP and request count.
+// Measured schemes use MP, which under bus contention wrongly attributes
+// interconnect queuing to the device. Predicted schemes (§5.1) return
+// the model's contention-free PP for NVDIMM stores instead.
 //
 // The measured OIO feature is itself contention-polluted: bus queuing
 // inflates occupancy, and feeding the inflated value to the model makes
@@ -42,11 +76,8 @@ type ContentionAwareEstimator struct{}
 // de-confounded queue depth comes from a Little's-law fixed point: the
 // arrival rate λ is demand-driven, so the quiet-equivalent occupancy is
 // λ·PP, iterated to consistency and never above the measurement.
-func (ContentionAwareEstimator) EstimateUS(m *Manager, ds *Datastore, wc trace.WC, measuredUS float64, requests int) float64 {
-	if ds.Dev.Kind() != device.KindNVDIMM {
-		return measuredUS
-	}
-	model, ok := m.models[device.KindNVDIMM]
+func (m *Manager) perfOf(ds *Datastore, wc trace.WC, measuredUS float64, requests int) float64 {
+	model, ok := m.nvdimmModel(ds)
 	if !ok {
 		return measuredUS
 	}
@@ -75,14 +106,13 @@ func (ContentionAwareEstimator) EstimateUS(m *Manager, ds *Datastore, wc trace.W
 	return pp
 }
 
-// PlacementUS predicts the NVDIMM store's latency with the new VMDK's
-// estimated characterization merged into the current window (Eq. 4);
-// non-NVDIMM stores and model-less managers use the current latency.
-func (ContentionAwareEstimator) PlacementUS(m *Manager, ds *Datastore, currentUS float64, est trace.WC) float64 {
-	if ds.Dev.Kind() != device.KindNVDIMM {
-		return currentUS
-	}
-	model, ok := m.models[device.KindNVDIMM]
+// placementUS predicts the store's latency with a new VMDK of estimated
+// characterization est added (Eq. 4). Predicted schemes merge est into
+// the NVDIMM store's current window and ask the model; otherwise the
+// store's current decision latency currentUS stands, since without a
+// model there is no way to predict the new VMDK's effect.
+func (m *Manager) placementUS(ds *Datastore, currentUS float64, est trace.WC) float64 {
+	model, ok := m.nvdimmModel(ds)
 	if !ok {
 		return currentUS
 	}
@@ -92,13 +122,4 @@ func (ContentionAwareEstimator) PlacementUS(m *Manager, ds *Datastore, currentUS
 		merged.OIOs += cur.OIOs
 	}
 	return model.PredictUS(merged)
-}
-
-// NeedsModel reports true: predictions require a trained model.
-func (ContentionAwareEstimator) NeedsModel() bool { return true }
-
-// perfOf computes P_d per Eq. 5 by delegating to the scheme's estimate
-// stage — a convenience for the observe stage and initial placement.
-func (m *Manager) perfOf(ds *Datastore, wc trace.WC, measuredUS float64, requests int) float64 {
-	return m.scheme.Estimator.EstimateUS(m, ds, wc, measuredUS, requests)
 }

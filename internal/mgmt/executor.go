@@ -4,65 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
-// CopyExecutor is the eager execute stage used by the full-copy schemes:
-// every block is background-copied to the destination, the copy never
-// pauses once launched, and reads/writes keep routing to the source
-// until the move commits.
-type CopyExecutor struct {
-	// Tagged marks migration traffic ClassMigrated so destination
-	// scheduling policies and source cache bypassing can see it (§5.3).
-	// Baselines leave migration traffic untagged.
-	Tagged bool
-}
-
-// Redirect reports false: every block is copied eagerly.
-func (CopyExecutor) Redirect() bool { return false }
-
-// GateCopies reports false: the copy never pauses once launched.
-func (CopyExecutor) GateCopies() bool { return false }
-
-// Class returns the request class migration traffic carries.
-func (e CopyExecutor) Class() trace.Class {
-	if e.Tagged {
-		return trace.ClassMigrated
-	}
-	return trace.ClassNormal
-}
-
-// RedirectExecutor is the §5.2 lazy execute stage (LightSRM's I/O
-// redirection, reused by the paper): upcoming writes land directly on
-// the destination instead of being copied, and the background copy
-// re-runs the Eq. 6–7 gate every epoch unless Ungated.
-type RedirectExecutor struct {
-	// Ungated disables the per-epoch copy re-gating, leaving pure write
-	// redirection with an always-running background copy.
-	Ungated bool
-	// Tagged marks migration traffic ClassMigrated (§5.3), as for
-	// CopyExecutor.
-	Tagged bool
-}
-
-// Redirect reports true: upcoming writes go straight to the destination.
-func (RedirectExecutor) Redirect() bool { return true }
-
-// GateCopies reports whether the background copy re-runs the Eq. 6–7
-// gate each epoch (true unless Ungated).
-func (e RedirectExecutor) GateCopies() bool { return !e.Ungated }
-
-// Class returns the request class migration traffic carries.
-func (e RedirectExecutor) Class() trace.Class {
-	if e.Tagged {
-		return trace.ClassMigrated
-	}
-	return trace.ClassNormal
-}
-
-// startMigration allocates the destination extent and begins copying
-// under the scheme's execute stage. The started counter lives here — not
-// with the planners — so budget conservation holds for every launch path
+// startMigration allocates the destination extent and begins copying,
+// eagerly or lazily per Scheme.Redirect. The started counter lives here —
+// not with the balancer — so budget conservation holds for every launch path
 // (balancing, evacuation, direct test harnesses). When the journal is
 // armed, the intent record persists before the first block moves.
 func (m *Manager) startMigration(v *VMDK, dst *Datastore) error {
@@ -70,13 +16,13 @@ func (m *Manager) startMigration(v *VMDK, dst *Datastore) error {
 	if err != nil {
 		return err
 	}
-	v.beginMigration(dst, base, m.scheme.Executor.Redirect())
+	v.beginMigration(dst, base, m.scheme.Redirect)
 	m.stats.MigrationsStarted++
 	if m.journal != nil {
 		v.jn = m.journal
 		m.journal.appendSync(JournalRecord{Kind: JournalIntent, VMDK: v.ID,
 			Src: v.src.Dev.Name(), Dst: dst.Dev.Name(),
-			DstBase: base, Redirect: m.scheme.Executor.Redirect()})
+			DstBase: base, Redirect: m.scheme.Redirect})
 	}
 	mig := newMigration(m, v, v.src, dst)
 	m.active = append(m.active, mig)
@@ -99,7 +45,7 @@ func (m *Manager) migrationAborted(mig *Migration) {
 			Detail: "unwind complete; source authoritative"})
 		mig.v.jn = nil
 	}
-	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionAbort, Stage: StageExecute, VMDK: mig.v.ID,
+	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionAbort, VMDK: mig.v.ID,
 		Src: mig.src.Dev.Name(), Dst: mig.dst.Dev.Name(),
 		Detail: fmt.Sprintf("unwind complete in %v; VMDK consistent on source", mig.finishedAt-mig.startedAt)})
 	if m.tr != nil {
@@ -127,7 +73,7 @@ func (m *Manager) migrationDone(mig *Migration) {
 	// count); only the redirected complement is known at completion.
 	m.stats.BytesMirrored += mig.mirroredBytes()
 	m.stats.MigrationTime += mig.finishedAt - mig.startedAt
-	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionComplete, Stage: StageExecute, VMDK: mig.v.ID,
+	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionComplete, VMDK: mig.v.ID,
 		Src: mig.src.Dev.Name(), Dst: mig.dst.Dev.Name(),
 		Detail: fmt.Sprintf("copied %dMB in %v", mig.copiedBytes>>20, mig.finishedAt-mig.startedAt)})
 	if m.tr != nil {

@@ -182,61 +182,3 @@ func TestRandomizedFaultLifecycle(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchPlannerLaunchesUpToBudget verifies BalancePlanner.Batch: with
-// a concurrency budget of 3 and several hot candidates on one overloaded
-// store, a single epoch launches multiple migrations (the non-batch
-// planner launches at most one per epoch).
-func TestBatchPlannerLaunchesUpToBudget(t *testing.T) {
-	eng := sim.NewEngine()
-	slow := NewDatastore(newFlaky(eng, "slow", 3000*sim.Microsecond), 0)
-	fast := NewDatastore(newFlaky(eng, "fast", 20*sim.Microsecond), 0)
-	cfg := DefaultConfig()
-	cfg.Window = 5 * sim.Millisecond
-	cfg.MinWindowRequests = 1
-	cfg.MaxConcurrentMigrations = 3
-	cfg.DebounceWindows = 1
-	scheme := Scheme{
-		Name:    "batch",
-		Planner: Planners{FailurePlanner{}, GatePlanner{}, BalancePlanner{Batch: true}},
-	}
-	mgr := NewManager(eng, cfg, scheme, []*Datastore{slow, fast})
-	var runners []*workload.Runner
-	for id := 1; id <= 4; id++ {
-		v, err := slow.CreateVMDK(id, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := workload.Profile{Name: fmt.Sprintf("w%d", id), WriteRatio: 0.5,
-			ReadRand: 0.5, WriteRand: 0.5, IOSize: 4096, OIO: 2, Footprint: 1 << 20}
-		runners = append(runners, workload.NewRunner(eng, sim.NewRNG(uint64(id)), p, v, 0))
-	}
-	maxPerEpoch := uint64(0)
-	last := uint64(0)
-	mgr.OnEpoch = func([]StorePerf) {
-		// OnEpoch fires before Plan; the delta since the previous epoch is
-		// what last epoch's plan launched.
-		started := mgr.Stats().MigrationsStarted
-		if d := started - last; d > maxPerEpoch {
-			maxPerEpoch = d
-		}
-		last = started
-	}
-	for _, r := range runners {
-		r.Start()
-	}
-	mgr.Start()
-	eng.RunFor(6 * cfg.Window)
-	for _, r := range runners {
-		r.Stop()
-	}
-	mgr.Stop()
-	eng.Run()
-	if maxPerEpoch < 2 {
-		t.Fatalf("batch planner never launched >1 migration in an epoch (max %d, total %d)",
-			maxPerEpoch, mgr.Stats().MigrationsStarted)
-	}
-	if mgr.Stats().MigrationsStarted == 0 {
-		t.Fatal("no migrations launched at all")
-	}
-}

@@ -35,7 +35,7 @@ const (
 	DecisionReadmit
 	// DecisionSLO records a tail-latency SLO violation window reported by
 	// the observability layer (internal/mgmt/slo) — the signal a future
-	// tail-aware Planner stage will consume.
+	// tail-aware planner will consume.
 	DecisionSLO
 	// DecisionCrash records a power-loss event reaching the manager:
 	// volatile migration state for the affected scope is torn down and
@@ -84,10 +84,6 @@ func (k DecisionKind) String() string {
 type Decision struct {
 	At   sim.Time
 	Kind DecisionKind
-	// Stage attributes the decision to the pipeline stage that produced
-	// it (StageNone for entries recorded outside the pipeline; those
-	// render as the bare kind).
-	Stage Stage
 	// VMDK is the subject disk (-1 for epoch entries).
 	VMDK int
 	// Src and Dst name the stores involved ("" when not applicable).
@@ -96,8 +92,10 @@ type Decision struct {
 	Detail string
 }
 
-// String renders one entry, prefixing the kind with its pipeline stage
-// when attributed (e.g. "plan/migrate").
+// String renders one entry, prefixing the kind with the epoch phase that
+// produces it: "observe/" for SLO notes, "plan/" for placement, failure
+// and balancing decisions, "execute/" for migration outcomes and crash
+// recovery (e.g. "plan/migrate"). Epoch entries render as the bare kind.
 func (d Decision) String() string {
 	loc := ""
 	if d.Src != "" || d.Dst != "" {
@@ -108,8 +106,13 @@ func (d Decision) String() string {
 		id = fmt.Sprintf(" vmdk%d", d.VMDK)
 	}
 	kind := d.Kind.String()
-	if d.Stage != StageNone {
-		kind = d.Stage.String() + "/" + kind
+	switch d.Kind {
+	case DecisionSLO:
+		kind = "observe/" + kind
+	case DecisionPlace, DecisionQuarantine, DecisionReadmit, DecisionEvacuate, DecisionSkip, DecisionMigrate:
+		kind = "plan/" + kind
+	case DecisionAbort, DecisionComplete, DecisionCrash, DecisionRecover:
+		kind = "execute/" + kind
 	}
 	return fmt.Sprintf("[%v] %s%s%s %s", d.At, kind, id, loc, d.Detail)
 }
@@ -205,8 +208,8 @@ func (m *Manager) Log() *DecisionLog { return &m.log }
 // NoteSLOViolation records one SLO violation in the decision log — the
 // bridge from the observability layer's per-window evaluation into the
 // manager's audit trail. Src carries the violating key (a store name or
-// "vmdk<id>"); the entry is attributed to the observe stage since that
-// is where a tail-aware pipeline would act on it.
+// "vmdk<id>"); the entry renders under "observe/" since observation is
+// where a tail-aware manager would act on it.
 func (m *Manager) NoteSLOViolation(at sim.Time, key, detail string) {
-	m.logDecision(Decision{At: at, Kind: DecisionSLO, Stage: StageObserve, VMDK: -1, Src: key, Detail: detail})
+	m.logDecision(Decision{At: at, Kind: DecisionSLO, VMDK: -1, Src: key, Detail: detail})
 }

@@ -170,3 +170,144 @@ func TestManagerEnablesLogFromConfig(t *testing.T) {
 		t.Fatal("DecisionLogCap=0 should leave the log disabled")
 	}
 }
+
+// TestDecisionStringStagePrefix pins how every kind the manager logs
+// renders: decisions carry an observe/, plan/ or execute/ prefix by
+// kind, and epoch entries render as the bare kind. Each entry comes
+// from the manager's own log, driven through the scenario that produces
+// it.
+func TestDecisionStringStagePrefix(t *testing.T) {
+	want := map[DecisionKind]string{
+		DecisionSLO:        "observe/slo",
+		DecisionPlace:      "plan/place",
+		DecisionQuarantine: "plan/quarantine",
+		DecisionReadmit:    "plan/readmit",
+		DecisionEvacuate:   "plan/evacuate",
+		DecisionSkip:       "plan/skip",
+		DecisionMigrate:    "plan/migrate",
+		DecisionAbort:      "execute/abort",
+		DecisionComplete:   "execute/complete",
+		DecisionCrash:      "execute/crash",
+		DecisionRecover:    "execute/recover",
+	}
+	got := map[DecisionKind][]string{}
+	collect := func(m *Manager) {
+		for _, d := range m.Log().Entries() {
+			got[d.Kind] = append(got[d.Kind], d.String())
+		}
+	}
+
+	// Placement and an SLO note.
+	_, mgr, _, _, _, _ := failurePair(t)
+	if _, err := mgr.PlaceVMDK(1<<20, trace.WC{OIOs: 1, IOSize: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	mgr.NoteSLOViolation(0, "store-a", "p99 over limit")
+	collect(mgr)
+
+	// Balancing against an idle fast store: BASIL migrates a small VMDK
+	// (launch and completion); Pesto rejects a huge one on cost.
+	balance := func(s Scheme, size int64) *Manager {
+		eng := sim.NewEngine()
+		slow := NewDatastore(newFlaky(eng, "slow", 2*sim.Millisecond), 0)
+		fast := NewDatastore(newFlaky(eng, "fast", 10*sim.Microsecond), 0)
+		cfg := DefaultConfig()
+		cfg.Window = 5 * sim.Millisecond
+		cfg.MinWindowRequests = 1
+		m := NewManager(eng, cfg, s, []*Datastore{slow, fast})
+		v, err := slow.CreateVMDK(1, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := workload.Profile{Name: "w", WriteRatio: 0.5, ReadRand: 0.5, WriteRand: 0.5,
+			IOSize: 4096, OIO: 2, Footprint: 1 << 20}
+		r := workload.NewRunner(eng, sim.NewRNG(1), p, v, 0)
+		r.Start()
+		m.Start()
+		eng.RunFor(40 * sim.Millisecond)
+		r.Stop()
+		m.Stop()
+		eng.Run()
+		return m
+	}
+	collect(balance(BASIL(), 1<<20))
+	collect(balance(Pesto(), 512<<20))
+
+	// A destination that fails every write after two: the copy aborts.
+	eng, mgr, a, b, _, fb := failurePair(t)
+	okWrites := 2
+	fb.fail = func(r *trace.IORequest) bool {
+		if r.Op != trace.OpWrite || okWrites == 0 {
+			return r.Op == trace.OpWrite
+		}
+		okWrites--
+		return false
+	}
+	v, err := a.CreateVMDK(1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.startMigration(v, b); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	collect(mgr)
+
+	// Quarantine, evacuation and readmission of a store whose writes fail.
+	eng = sim.NewEngine()
+	fa := newFlaky(eng, "failing", 10*sim.Microsecond)
+	a = NewDatastore(fa, 0)
+	b = NewDatastore(newFlaky(eng, "healthy", 10*sim.Microsecond), 0)
+	cfg := DefaultConfig()
+	cfg.Window = sim.Millisecond
+	cfg.MinWindowRequests = 2
+	cfg.QuarantineMinErrors = 3
+	cfg.ProbationWindows = 3
+	cfg.CopyRetryBackoff = 50 * sim.Microsecond
+	mgr = NewManager(eng, cfg, LightSRM(), []*Datastore{a, b})
+	if v, err = a.CreateVMDK(1, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	failing := true
+	fa.fail = func(r *trace.IORequest) bool { return failing && r.Op == trace.OpWrite }
+	r := workload.NewRunner(eng, sim.NewRNG(1), workload.Profile{Name: "w", WriteRatio: 1.0,
+		WriteRand: 0.5, IOSize: 4096, OIO: 4, Footprint: 1 << 20}, v, 0)
+	r.Start()
+	mgr.Start()
+	eng.RunFor(20 * sim.Millisecond)
+	failing = false
+	eng.RunFor(30 * sim.Millisecond)
+	r.Stop()
+	mgr.Stop()
+	eng.Run()
+	collect(mgr)
+
+	// A crash of the source mid-copy: the crash and the resume verdict.
+	eng, mgr, a, b = journaledPair(t, LightSRM())
+	if v, err = a.CreateVMDK(1, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.startMigration(v, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(100 * sim.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	mgr.OnCrash(CrashScope{Node: -1, Device: "store-a"})
+	eng.Run()
+	collect(mgr)
+
+	for kind, prefix := range want {
+		if len(got[kind]) == 0 {
+			t.Errorf("no %v entry logged", kind)
+		}
+		for _, s := range got[kind] {
+			if _, rest, _ := strings.Cut(s, "] "); !strings.HasPrefix(rest, prefix+" ") {
+				t.Errorf("%v entry renders %q, want prefix %q", kind, s, prefix)
+			}
+		}
+	}
+	if _, rest, _ := strings.Cut(Decision{At: 5, Kind: DecisionEpoch, VMDK: -1, Detail: "w"}.String(), "] "); rest != "epoch w" {
+		t.Errorf("epoch entry renders %q, want %q", rest, "epoch w")
+	}
+}

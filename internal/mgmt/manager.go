@@ -49,12 +49,6 @@ type Config struct {
 	// recording. Default 1024 — enough to audit recent behaviour without
 	// unbounded growth on production-length runs.
 	DecisionLogCap int
-	// StageSpans, when true, emits one instant event per pipeline stage
-	// per epoch on "<track>.observe"/".plan"/".execute" and tags decision
-	// instants with their originating stage. Off by default: the extra
-	// events would break byte-for-byte comparability of traces with
-	// artifacts recorded before the pipeline decomposition.
-	StageSpans bool
 
 	// CopyRetryLimit is how many attempts each migration copy chunk gets
 	// before the whole migration aborts and unwinds. Default 4.
@@ -140,9 +134,9 @@ type Stats struct {
 	RecoveryRollbacks uint64 // migrations rolled back to source after replay
 }
 
-// Manager drives the management pipeline over a set of datastores: each
-// epoch it runs the scheme's Observer and Planner stages, while the
-// migration engine (parameterized by the Executor stage) runs
+// Manager drives storage management over a set of datastores: each epoch
+// it observes every store's window and decides what moves under its
+// Scheme, while the migration engine (eager or lazy, per the scheme) runs
 // continuously in between.
 type Manager struct {
 	eng    *sim.Engine
@@ -153,7 +147,6 @@ type Manager struct {
 
 	nextVMDKID   int
 	imbalanceRun int // consecutive epochs the imbalance condition held
-	smoothed     map[*Datastore]float64
 	active       []*Migration
 	history      map[int][]string // VMDK id → past store names (ping-pong detection)
 	stats        Stats
@@ -186,8 +179,7 @@ type StorePerf struct {
 }
 
 // NewManager builds a manager. Models may be nil for schemes that never
-// consult them. The scheme is normalized: nil stages get the BASIL
-// defaults, so a zero Scheme is usable.
+// consult them. A zero Scheme is BASIL.
 func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore) *Manager {
 	if cfg.Tau <= 0 {
 		cfg.Tau = 0.5
@@ -232,13 +224,12 @@ func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore)
 		cfg.JournalAppendDelay = 2 * sim.Microsecond
 	}
 	m := &Manager{
-		eng:      eng,
-		cfg:      cfg,
-		scheme:   scheme.normalized(),
-		stores:   stores,
-		models:   make(map[device.Kind]perfmodel.Predictor),
-		history:  make(map[int][]string),
-		smoothed: make(map[*Datastore]float64),
+		eng:     eng,
+		cfg:     cfg,
+		scheme:  scheme,
+		stores:  stores,
+		models:  make(map[device.Kind]perfmodel.Predictor),
+		history: make(map[int][]string),
 	}
 	if cfg.DecisionLogCap > 0 {
 		m.log.SetCapacity(cfg.DecisionLogCap)
@@ -260,9 +251,7 @@ func (m *Manager) SetTracer(tr *telemetry.Tracer, track string) {
 	m.track = track
 }
 
-// logDecision records d in the ring and mirrors it to the tracer. The
-// stage tag rides along only under Config.StageSpans — the default
-// event shape predates the pipeline decomposition and stays stable.
+// logDecision records d in the ring and mirrors it to the tracer.
 func (m *Manager) logDecision(d Decision) {
 	m.log.add(d)
 	if m.tr != nil {
@@ -275,9 +264,6 @@ func (m *Manager) logDecision(d Decision) {
 		}
 		if d.Dst != "" {
 			args = append(args, telemetry.S("dst", d.Dst))
-		}
-		if m.cfg.StageSpans && d.Stage != StageNone {
-			args = append(args, telemetry.S("stage", d.Stage.String()))
 		}
 		m.tr.Instant(m.track, d.Kind.String(), "mgmt", d.At, args...)
 	}
@@ -314,7 +300,7 @@ func (m *Manager) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 }
 
 // SetModel installs the trained performance model for a device kind
-// (required for schemes whose estimate stage reports NeedsModel).
+// (required for schemes that report NeedsModel).
 func (m *Manager) SetModel(kind device.Kind, p perfmodel.Predictor) {
 	m.models[kind] = p
 }
@@ -390,43 +376,24 @@ func (m *Manager) Stop() {
 	m.epochTimer.Stop()
 }
 
-// epoch runs one management round through the pipeline: the observe
-// stage builds the per-store performance vector, the plan stage turns it
-// into decisions, and the execute stage — the migration engine those
-// decisions feed — runs continuously in between epochs, so its instant
-// here is a per-epoch snapshot rather than a discrete step.
+// epoch runs one management round: observe every store's window, hand
+// the view to OnEpoch, then decide — the failure pre-pass, re-gating of
+// in-flight copies with the fresh window data, and balancing. Order
+// matters for determinism and correctness: a failing store is never
+// chosen as a destination this epoch, and launches from the balancing
+// pass are not re-gated until the next epoch.
 func (m *Manager) epoch() {
 	m.stats.Epochs++
 
-	perfs := m.scheme.Observer.Observe(m)
-	if m.stageSpans() {
-		reqs := 0
-		for i := range perfs {
-			reqs += perfs[i].Requests
-		}
-		m.stageInstant(StageObserve,
-			telemetry.I("stores", int64(len(perfs))),
-			telemetry.I("requests", int64(reqs)))
-	}
+	perfs := m.observe()
 	if m.OnEpoch != nil {
 		m.OnEpoch(perfs)
 	}
-
-	started, skipped := m.stats.MigrationsStarted, m.stats.MigrationsSkipped
-	m.scheme.Planner.Plan(m, perfs)
-	if m.stageSpans() {
-		m.stageInstant(StagePlan,
-			telemetry.I("launched", int64(m.stats.MigrationsStarted-started)),
-			telemetry.I("skipped", int64(m.stats.MigrationsSkipped-skipped)))
-		inflight := 0
-		for _, mig := range m.active {
-			inflight += mig.inflight
-		}
-		m.stageInstant(StageExecute,
-			telemetry.I("active", int64(len(m.active))),
-			telemetry.I("inflight_chunks", int64(inflight)),
-			telemetry.I("bytes_copied", m.stats.BytesCopied))
+	m.failurePass(perfs)
+	for _, mig := range m.active {
+		mig.regate(perfs)
 	}
+	m.balance(perfs)
 
 	for _, ds := range m.stores {
 		ds.resetWindow()
@@ -486,10 +453,10 @@ func (m *Manager) PlaceVMDK(size int64, est trace.WC) (*VMDK, error) {
 			continue
 		}
 		// Predicted performance of ds with the new VMDK folded in: the
-		// scheme's estimate stage decides whether a model prediction or
-		// the store's current decision latency is used (idle stores
-		// already carry the technology estimate).
-		withNew := m.scheme.Estimator.PlacementUS(m, ds, perfs[i], est)
+		// scheme decides whether a model prediction or the store's
+		// current decision latency is used (idle stores already carry
+		// the technology estimate).
+		withNew := m.placementUS(ds, perfs[i], est)
 		// Eq. 4: average across devices with candidate i replaced.
 		sum := 0.0
 		for j := range perfs {
@@ -533,7 +500,7 @@ func (m *Manager) PlaceVMDK(size int64, est trace.WC) (*VMDK, error) {
 	m.nextVMDKID++
 	v, err := cands[best].ds.CreateVMDK(m.nextVMDKID, size)
 	if err == nil {
-		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionPlace, Stage: StagePlan, VMDK: v.ID,
+		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionPlace, VMDK: v.ID,
 			Dst:    cands[best].ds.Dev.Name(),
 			Detail: fmt.Sprintf("avg system perf %.0fus (Eq. 4)", cands[best].avg)})
 	}

@@ -87,13 +87,21 @@ func TestSmoothingDampsSpikes(t *testing.T) {
 	cfg.SmoothingAlpha = 0.5
 	mgr := NewManager(n.eng, cfg, BASIL(), n.dss)
 	ds := n.dss[0]
-	// Feed the smoother directly through two epochs' worth of perfOf
-	// bookkeeping by simulating the epoch path: first window 1000µs.
-	mgr.smoothed[ds] = 1000
-	// EWMA with α=0.5: a 0-latency window halves the estimate.
-	got := cfg.SmoothingAlpha*0 + (1-cfg.SmoothingAlpha)*mgr.smoothed[ds]
-	if got != 500 {
-		t.Fatalf("ewma math: %v", got)
+	// The first observation carries no history: an idle NVDIMM reads its
+	// technology estimate unsmoothed.
+	idle := idleEstimateUS(ds.Dev.Kind())
+	if got := mgr.observe()[0].PerfUS; got != idle {
+		t.Fatalf("first epoch = %v, want the idle estimate %v", got, idle)
+	}
+	// A 1000µs spike remembered from the last epoch is halved toward the
+	// idle window under α=0.5, not adopted or forgotten outright.
+	ds.ewmaUS = 1000
+	want := cfg.SmoothingAlpha*idle + (1-cfg.SmoothingAlpha)*1000
+	if got := mgr.observe()[0].PerfUS; got != want {
+		t.Fatalf("smoothed = %v, want %v", got, want)
+	}
+	if ds.ewmaUS != want {
+		t.Fatalf("EWMA memory = %v, want %v", ds.ewmaUS, want)
 	}
 }
 
@@ -129,7 +137,7 @@ func TestCostBenefitPositiveWhenDestinationFaster(t *testing.T) {
 	}
 }
 
-// TestHysteresisBlocksRecentMover hands BalancePlanner a clear imbalance
+// TestHysteresisBlocksRecentMover hands the balancer a clear imbalance
 // whose only candidate is a VMDK with window traffic that moved last
 // epoch: the MinResidenceWindows hysteresis must block it. The control,
 // the same VMDK with no move history, must migrate, so the test fails if
@@ -158,7 +166,7 @@ func TestHysteresisBlocksRecentMover(t *testing.T) {
 				{Store: n.dss[0], PerfUS: 100, Norm: 1, Requests: 10},
 				{Store: n.dss[2], PerfUS: 9000, Norm: 10, Requests: 10},
 			}
-			BalancePlanner{}.Plan(mgr, perfs)
+			mgr.balance(perfs)
 			if got := mgr.Stats().MigrationsStarted; got != tc.wantStarted {
 				t.Fatalf("migrations started = %d, want %d (lastMoveEpoch %d, epoch %d)",
 					got, tc.wantStarted, tc.lastMoveEpoch, mgr.stats.Epochs)

@@ -1,7 +1,6 @@
 package mgmt
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/bus"
@@ -307,46 +306,54 @@ func TestSchemeDefinitions(t *testing.T) {
 	if len(all) != 6 {
 		t.Fatalf("schemes = %d", len(all))
 	}
-	full := Full()
-	if !full.NeedsModel() || !full.Executor.Redirect() || !full.Executor.GateCopies() ||
-		full.Executor.Class() != trace.ClassMigrated {
-		t.Fatal("Full scheme incomplete")
-	}
-	basil := BASIL()
-	if basil.NeedsModel() || basil.Executor.Redirect() || basil.Executor.GateCopies() ||
-		basil.Executor.Class() != trace.ClassNormal {
-		t.Fatal("BASIL should be bare")
-	}
-	if !reflect.DeepEqual(basil.Planner, DefaultPlanners(false)) {
-		t.Fatal("BASIL should not gate proposals")
-	}
-	pesto := Pesto()
-	if pesto.Executor.Redirect() || !reflect.DeepEqual(pesto.Planner, DefaultPlanners(true)) {
-		t.Fatal("Pesto misdefined")
-	}
-	lsrm := LightSRM()
-	if !lsrm.Executor.Redirect() || !lsrm.Executor.GateCopies() || lsrm.NeedsModel() {
-		t.Fatal("LightSRM misdefined")
-	}
-	if !BCA().NeedsModel() || BCA().Executor.Redirect() {
-		t.Fatal("BCA misdefined")
-	}
-	if !BCALazy().NeedsModel() || !BCALazy().Executor.Redirect() ||
-		BCALazy().Executor.Class() != trace.ClassNormal {
-		t.Fatal("BCA+Lazy misdefined")
+	for _, tc := range []struct {
+		s                            Scheme
+		model, redirect, gatesCopies bool
+		gate                         Gate
+		class                        trace.Class
+	}{
+		{BASIL(), false, false, false, GateNone, trace.ClassNormal},
+		{Pesto(), false, false, false, GateProposal, trace.ClassNormal},
+		{LightSRM(), false, true, true, GateCopy, trace.ClassNormal},
+		{BCA(), true, false, false, GateNone, trace.ClassNormal},
+		{BCALazy(), true, true, true, GateCopy, trace.ClassNormal},
+		{Full(), true, true, true, GateCopy, trace.ClassMigrated},
+	} {
+		s := tc.s
+		if s.NeedsModel() != tc.model || s.Redirect != tc.redirect || s.gatesCopies() != tc.gatesCopies ||
+			s.Gate != tc.gate || s.MigratedClass() != tc.class {
+			t.Errorf("%s misdefined: %+v", s.Name, s)
+		}
 	}
 }
 
 func TestSchemeNormalizedAndDescribe(t *testing.T) {
 	var zero Scheme
-	if !reflect.DeepEqual(zero.normalized().Named("BASIL"), BASIL()) {
-		t.Fatal("zero scheme should normalize to the BASIL composition")
+	if zero.Named("BASIL") != BASIL() {
+		t.Fatal("the zero scheme should be BASIL")
 	}
-	if got := Full().Describe(); got != "observe=ewma est=contention-aware plan=failure,regate,balance exec=redirect+gate+tag" {
-		t.Fatalf("Full().Describe() = %q", got)
-	}
-	if got := Pesto().Describe(); got != "observe=ewma est=measured plan=failure,regate,balance(gated) exec=copy" {
-		t.Fatalf("Pesto().Describe() = %q", got)
+	// The composition column of the experiments -policy study prints
+	// these strings; a policy spec that yields each is noted alongside.
+	for _, tc := range []struct {
+		s    Scheme
+		want string
+	}{
+		{BASIL(), "observe=ewma est=measured plan=failure,regate,balance exec=copy"},
+		{Pesto(), "observe=ewma est=measured plan=failure,regate,balance(gated) exec=copy"},
+		{LightSRM(), "observe=ewma est=measured plan=failure,regate,balance exec=redirect+gate"},
+		{BCA(), "observe=ewma est=contention-aware plan=failure,regate,balance exec=copy"},
+		{BCALazy(), "observe=ewma est=contention-aware plan=failure,regate,balance exec=redirect+gate"},
+		{Full(), "observe=ewma est=contention-aware plan=failure,regate,balance exec=redirect+gate+tag"},
+		// exec=redirect
+		{Scheme{Redirect: true}, "observe=ewma est=measured plan=failure,regate,balance exec=redirect"},
+		// exec=copy,tag=on
+		{Scheme{Tagged: true}, "observe=ewma est=measured plan=failure,regate,balance exec=copy+tag"},
+		// gate=proposal,exec=redirect
+		{Scheme{Gate: GateProposal, Redirect: true}, "observe=ewma est=measured plan=failure,regate,balance(gated) exec=redirect"},
+	} {
+		if got := tc.s.Describe(); got != tc.want {
+			t.Errorf("%+v.Describe() = %q, want %q", tc.s, got, tc.want)
+		}
 	}
 	if BASIL().Named("x").Name != "x" {
 		t.Fatal("Named should relabel")

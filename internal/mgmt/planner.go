@@ -7,39 +7,14 @@ import (
 	"repro/internal/device"
 )
 
-// Planners chains sub-planners into one plan stage; each runs in order
-// every epoch. Order matters for determinism and correctness: the
-// canonical chain runs the failure pre-pass first (so a failing store is
-// never chosen as a destination this epoch), then re-gates in-flight
-// copies with fresh window data, then balances — launches from the
-// balancing pass are deliberately not re-gated until the next epoch.
-type Planners []Planner
-
-// Plan runs each sub-planner in order.
-func (ps Planners) Plan(m *Manager, perfs []StorePerf) {
-	for _, p := range ps {
-		p.Plan(m, perfs)
-	}
-}
-
-// DefaultPlanners is the canonical epoch decision chain: failure
-// pre-pass, in-flight copy re-gating, then τ-imbalance balancing with
-// the proposal-time Eq. 6–7 gate armed or not.
-func DefaultPlanners(gateProposals bool) Planners {
-	return Planners{FailurePlanner{}, GatePlanner{}, BalancePlanner{GateProposals: gateProposals}}
-}
-
-// FailurePlanner is the composable failure pre-pass: per-epoch
-// error-rate thresholding into quarantine, evacuation of quarantined
-// stores, and probation-based readmission (graceful degradation). It
-// also aborts operator-paused copies whose destination was quarantined —
-// a paused copy cannot make progress off a failing device, and leaving
-// it active would pin the balancing budget forever.
-type FailurePlanner struct{}
-
-// Plan scans every store's window error rate, in store order, and acts
-// on transitions.
-func (FailurePlanner) Plan(m *Manager, perfs []StorePerf) {
+// failurePass is the epoch's failure pre-pass: per-epoch error-rate
+// thresholding into quarantine, evacuation of quarantined stores, and
+// probation-based readmission (graceful degradation), scanning every
+// store in store order. It also aborts operator-paused copies whose
+// destination was quarantined — a paused copy cannot make progress off a
+// failing device, and leaving it active would pin the balancing budget
+// forever.
+func (m *Manager) failurePass(perfs []StorePerf) {
 	for i := range perfs {
 		m.failureCheck(&perfs[i], perfs)
 	}
@@ -68,7 +43,7 @@ func (m *Manager) failureCheck(sp *StorePerf, perfs []StorePerf) {
 			ds.quarantinedAt = m.eng.Now()
 			ds.cleanWindows = 0
 			m.stats.Quarantines++
-			m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionQuarantine, Stage: StagePlan,
+			m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionQuarantine,
 				VMDK: -1, Src: ds.Dev.Name(),
 				Detail: fmt.Sprintf("%d/%d window requests failed (threshold %.0f%%)",
 					errs, total, m.cfg.QuarantineErrorRate*100)})
@@ -82,7 +57,7 @@ func (m *Manager) failureCheck(sp *StorePerf, perfs []StorePerf) {
 		if ds.cleanWindows >= m.cfg.ProbationWindows {
 			ds.quarantined = false
 			m.stats.Readmissions++
-			m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionReadmit, Stage: StagePlan,
+			m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionReadmit,
 				VMDK: -1, Src: ds.Dev.Name(),
 				Detail: fmt.Sprintf("probation served (%d clean windows)", m.cfg.ProbationWindows)})
 		}
@@ -134,48 +109,19 @@ func (m *Manager) evacuate(ds *Datastore, perfs []StorePerf) {
 		m.stats.Evacuations++
 		v.lastMoveEpoch = m.stats.Epochs
 		m.recordMove(v, ds, dst)
-		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionEvacuate, Stage: StagePlan, VMDK: v.ID,
+		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionEvacuate, VMDK: v.ID,
 			Src: ds.Dev.Name(), Dst: dst.Dev.Name(),
 			Detail: fmt.Sprintf("evacuating quarantined store (dst %.0fus)", dstPerf)})
 	}
 }
 
-// GatePlanner re-evaluates the Eq. 6–7 gate for in-flight copies with
-// fresh window data (§5.2 lazy migration pauses only the background
-// copy; write redirection continues regardless). Schemes whose executor
-// does not gate copies make this a no-op.
-type GatePlanner struct{}
-
-// Plan re-gates every active migration.
-func (GatePlanner) Plan(m *Manager, perfs []StorePerf) {
-	for _, mig := range m.active {
-		mig.regate(perfs)
-	}
-}
-
-// BalancePlanner implements §5.1.2 load balancing: find the max/min
-// stores, check the imbalance threshold τ with debouncing, pick the
-// busiest candidate VMDK under the hysteresis rules, and launch the
-// migration. The overloaded side only considers stores that actually
-// hold active VMDKs; the destination side considers every store (idle
-// ones use the technology estimate).
-type BalancePlanner struct {
-	// GateProposals applies the Eq. 6–7 Benefit > Cost test when the
-	// migration is proposed (the Pesto baseline): without write
-	// redirection the whole copy either starts or it does not.
-	GateProposals bool
-	// Batch keeps launching candidates off the same overloaded store
-	// until the MaxConcurrentMigrations budget is exhausted or eligible
-	// candidates run out, amortizing one epoch's imbalance detection and
-	// candidate scoring across several launches. Selection uses the same
-	// epoch view for every launch (norms are not re-estimated mid-plan).
-	// Off by default: the canonical schemes launch at most one balancing
-	// migration per epoch, and the golden digests pin that behavior.
-	Batch bool
-}
-
-// Plan runs one balancing pass, respecting MaxConcurrentMigrations.
-func (p BalancePlanner) Plan(m *Manager, perfs []StorePerf) {
+// balance implements §5.1.2 load balancing: find the max/min stores,
+// check the imbalance threshold τ with debouncing, pick the busiest
+// candidate VMDK under the hysteresis rules, and launch at most one
+// migration, respecting MaxConcurrentMigrations. The overloaded side only
+// considers stores that actually hold active VMDKs; the destination side
+// considers every store (idle ones use the technology estimate).
+func (m *Manager) balance(perfs []StorePerf) {
 	if m.balancingMigrations() >= m.cfg.MaxConcurrentMigrations {
 		return
 	}
@@ -194,52 +140,44 @@ func (p BalancePlanner) Plan(m *Manager, perfs []StorePerf) {
 	}
 	src, dst := maxP.Store, minP.Store
 
-	cands := balanceCandidates(src)
-	for {
-		// Candidate: the busiest non-migrating VMDK on the overloaded
-		// store that fits on the destination, excluding recent movers
-		// (hysteresis). Re-evaluated per launch in batch mode: a launch
-		// flips its VMDK to Migrating and shrinks the destination.
-		var cand *VMDK
-		for _, v := range cands {
-			if v.Migrating() || v.Size > dst.Free() {
-				continue
-			}
-			if m.stats.Epochs-v.lastMoveEpoch < m.cfg.MinResidenceWindows && v.lastMoveEpoch > 0 {
-				continue
-			}
-			if cand == nil || v.windowRequests > cand.windowRequests {
-				cand = v
-			}
+	// Candidate: the busiest non-migrating VMDK on the overloaded store
+	// that fits on the destination, excluding recent movers (hysteresis).
+	var cand *VMDK
+	for _, v := range balanceCandidates(src) {
+		if v.Migrating() || v.Size > dst.Free() {
+			continue
 		}
-		if cand == nil || cand.windowRequests == 0 {
-			return
+		if m.stats.Epochs-v.lastMoveEpoch < m.cfg.MinResidenceWindows && v.lastMoveEpoch > 0 {
+			continue
 		}
+		if cand == nil || v.windowRequests > cand.windowRequests {
+			cand = v
+		}
+	}
+	if cand == nil || cand.windowRequests == 0 {
+		return
+	}
 
-		// Proposal-time gate: without write redirection, cost/benefit
-		// decides whether the migration is worth starting at all.
-		if p.GateProposals {
-			cost, benefit := m.costBenefit(cand, maxP, minP, cand.Size)
-			if benefit <= cost {
-				m.stats.MigrationsSkipped++
-				m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionSkip, Stage: StagePlan, VMDK: cand.ID,
-					Src: src.Dev.Name(), Dst: dst.Dev.Name(),
-					Detail: fmt.Sprintf("cost %.0fus > benefit %.0fus", cost, benefit)})
-				return
-			}
-		}
-		if err := m.startMigration(cand, dst); err != nil {
-			return
-		}
-		cand.lastMoveEpoch = m.stats.Epochs
-		m.recordMove(cand, src, dst)
-		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionMigrate, Stage: StagePlan, VMDK: cand.ID,
-			Src: src.Dev.Name(), Dst: dst.Dev.Name(),
-			Detail: fmt.Sprintf("norm %.1f vs %.1f (tau %.2f)", maxP.Norm, minP.Norm, m.cfg.Tau)})
-		if !p.Batch || m.balancingMigrations() >= m.cfg.MaxConcurrentMigrations {
+	// Proposal-time gate: without write redirection, cost/benefit
+	// decides whether the migration is worth starting at all.
+	if m.scheme.Gate == GateProposal {
+		cost, benefit := m.costBenefit(cand, maxP, minP, cand.Size)
+		if benefit <= cost {
+			m.stats.MigrationsSkipped++
+			m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionSkip, VMDK: cand.ID,
+				Src: src.Dev.Name(), Dst: dst.Dev.Name(),
+				Detail: fmt.Sprintf("cost %.0fus > benefit %.0fus", cost, benefit)})
 			return
 		}
 	}
+	if err := m.startMigration(cand, dst); err != nil {
+		return
+	}
+	cand.lastMoveEpoch = m.stats.Epochs
+	m.recordMove(cand, src, dst)
+	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionMigrate, VMDK: cand.ID,
+		Src: src.Dev.Name(), Dst: dst.Dev.Name(),
+		Detail: fmt.Sprintf("norm %.1f vs %.1f (tau %.2f)", maxP.Norm, minP.Norm, m.cfg.Tau)})
 }
 
 // pickPairSweep selects the balancing pair in one scan of the epoch's

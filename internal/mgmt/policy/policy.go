@@ -1,7 +1,7 @@
 // Package policy parses textual management-policy specs into mgmt.Scheme
-// stage compositions. A spec is either a canonical scheme name (the
-// lineup the paper evaluates) or a comma-separated key=value composition
-// assembling the pipeline stages directly:
+// values. A spec is either a canonical scheme name (the lineup the paper
+// evaluates) or a comma-separated key=value composition setting the
+// scheme's policy axes directly:
 //
 //	name=LABEL           display name (default: the spec itself)
 //	est=measured|predicted
@@ -9,14 +9,15 @@
 //	exec=copy|redirect
 //	tag=off|on
 //
-// est selects the Eq. 5 estimate stage (measured window latency versus
+// est selects the Eq. 5 estimate (measured window latency versus
 // the contention-stripping model prediction). gate places the Eq. 6–7
 // cost/benefit test: nowhere, at migration proposal time (Pesto), or on
 // the background copy each epoch (lazy migration — requires
 // exec=redirect, since pausing an eager copy would stall writes that
 // redirection is supposed to absorb). exec selects the migration
 // mechanism, and tag marks migration traffic ClassMigrated so the §5.3
-// architectural optimizations engage.
+// architectural optimizations engage. Each key sets one mgmt.Scheme
+// field: est → Predicted, gate → Gate, exec → Redirect, tag → Tagged.
 //
 // Examples: "bca-lazy"; "est=predicted,exec=redirect,gate=copy,tag=on"
 // (the full proposal); "est=measured,gate=proposal" (Pesto).
@@ -111,18 +112,13 @@ func parseComposition(spec string) (mgmt.Scheme, error) {
 		return mgmt.Scheme{}, fmt.Errorf("policy: gate=copy requires exec=redirect (pausing an eager copy would strand writes the redirection path is meant to absorb)")
 	}
 
-	s := mgmt.Scheme{Name: name, Observer: mgmt.SmoothingObserver{}}
-	if est == "predicted" {
-		s.Estimator = mgmt.ContentionAwareEstimator{}
-	} else {
-		s.Estimator = mgmt.MeasuredEstimator{}
-	}
-	s.Planner = mgmt.DefaultPlanners(gate == "proposal")
-	tagged := tag == "on"
-	if exec == "redirect" {
-		s.Executor = mgmt.RedirectExecutor{Ungated: gate != "copy", Tagged: tagged}
-	} else {
-		s.Executor = mgmt.CopyExecutor{Tagged: tagged}
+	s := mgmt.Scheme{Name: name, Predicted: est == "predicted",
+		Redirect: exec == "redirect", Tagged: tag == "on"}
+	switch gate {
+	case "proposal":
+		s.Gate = mgmt.GateProposal
+	case "copy":
+		s.Gate = mgmt.GateCopy
 	}
 	return s, nil
 }

@@ -65,14 +65,14 @@ func TestParseDefaultsAndName(t *testing.T) {
 	if !s.NeedsModel() {
 		t.Fatal("est=predicted should need a model")
 	}
-	if s.Executor.Redirect() || s.Executor.GateCopies() {
+	if s.Redirect || s.Gate != mgmt.GateNone {
 		t.Fatal("default exec should be an ungated eager copy")
 	}
 	s, err = Parse("exec=redirect")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Executor.Redirect() || s.Executor.GateCopies() {
+	if !s.Redirect || s.Gate != mgmt.GateNone {
 		t.Fatal("exec=redirect without gate=copy should not gate the background copy")
 	}
 }

@@ -46,7 +46,7 @@ func (s CrashScope) String() string {
 // crash and the journal epoch fence.
 func (m *Manager) OnCrash(scope CrashScope) {
 	m.stats.Crashes++
-	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionCrash, Stage: StageExecute, VMDK: -1,
+	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionCrash, VMDK: -1,
 		Detail: fmt.Sprintf("power loss %s; scanning %d active migration(s)", scope, len(m.active))})
 	if m.journal != nil {
 		m.journal.appendSync(JournalRecord{Kind: JournalCrash, VMDK: -1, Detail: scope.String()})
@@ -110,7 +110,7 @@ func (m *Manager) recoverMigration(old *Migration, scope CrashScope) {
 			}
 		}
 		m.stats.RecoveryRollbacks++
-		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionRecover, Stage: StageExecute, VMDK: v.ID,
+		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionRecover, VMDK: v.ID,
 			Src: old.src.Dev.Name(), Dst: old.dst.Dev.Name(),
 			Detail: fmt.Sprintf("rollback after %s: %d/%d blocks return to source (journaled=%v)",
 				scope, v.migrated, v.Blocks(), journaled)})
@@ -122,9 +122,9 @@ func (m *Manager) recoverMigration(old *Migration, scope CrashScope) {
 	// stands. Redirection restarts per the scheme and the copy cursor
 	// rescans from zero — blocks the journal proved migrated are skipped.
 	v.aborting = false
-	v.mirroring = m.scheme.Executor.Redirect()
+	v.mirroring = m.scheme.Redirect
 	m.stats.RecoveryResumes++
-	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionRecover, Stage: StageExecute, VMDK: v.ID,
+	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionRecover, VMDK: v.ID,
 		Src: old.src.Dev.Name(), Dst: old.dst.Dev.Name(),
 		Detail: fmt.Sprintf("resume after %s: %d/%d blocks already at destination (journaled=%v)",
 			scope, v.migrated, v.Blocks(), journaled)})

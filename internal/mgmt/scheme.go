@@ -1,101 +1,77 @@
 package mgmt
 
-import (
-	"fmt"
-	"strings"
+import "repro/internal/trace"
 
-	"repro/internal/trace"
+// Gate places the Eq. 6–7 cost/benefit test (Benefit > Cost) in the
+// migration lifecycle.
+type Gate uint8
+
+const (
+	// GateNone never weighs cost against benefit: every balancing
+	// proposal that passes τ and hysteresis launches (BASIL, BCA).
+	GateNone Gate = iota
+	// GateProposal tests once, when a balancing migration is proposed
+	// (Pesto): without write redirection the whole copy either starts or
+	// it does not.
+	GateProposal
+	// GateCopy re-tests every epoch on the background copy of an
+	// in-flight migration, pausing it while cost wins (§5.2 lazy
+	// migration). It applies only with Redirect: pausing an eager copy
+	// would strand the writes redirection is meant to absorb.
+	GateCopy
 )
 
-// Scheme is a named composition of pipeline stages (pipeline.go),
-// spanning the paper's baselines (§2.2) and its proposed designs (§5).
-// Schemes are plain values copied freely between options structs, so
-// every stage implementation must be stateless; cross-epoch state lives
-// on the Manager. A zero or partially filled Scheme is normalized at
-// NewManager: nil stages get the BASIL defaults.
+// Scheme is one management policy, spanning the paper's baselines (§2.2)
+// and its proposed designs (§5). The six schemes differ on exactly four
+// axes, one field each; every scheme observes with the same EWMA-smoothed
+// window sweep and plans with the same failure pre-pass, copy re-gating
+// and τ-imbalance balancing. The zero value is BASIL, unnamed.
 type Scheme struct {
 	// Name labels results.
 	Name string
-	// Observer collects each epoch's per-store window view.
-	Observer Observer
-	// Estimator produces the Eq. 5 decision latency P_d.
-	Estimator PerfEstimator
-	// Planner turns the epoch view into migration decisions.
-	Planner Planner
-	// Executor is the migration mechanism the planner launches.
-	Executor Executor
+	// Predicted selects the §5.1 contention-aware estimate: NVDIMM
+	// stores are judged by the model's contention-free PP instead of the
+	// measured MP (Eq. 5), and placement predicts with the model (Eq. 4).
+	// The System trains a model at assembly when it is set.
+	Predicted bool
+	// Gate places the Eq. 6–7 cost/benefit test.
+	Gate Gate
+	// Redirect selects §5.2 lazy migration (LightSRM's I/O redirection):
+	// upcoming writes land on the destination and only the complement is
+	// copied. Otherwise every block is copied eagerly and reads and
+	// writes keep routing to the source until the move commits.
+	Redirect bool
+	// Tagged marks migration traffic ClassMigrated so the §5.3 NVDIMM
+	// scheduling and cache-bypass optimizations can see it.
+	Tagged bool
 }
 
 // BASIL is the FAST'10 baseline: online measured-latency modeling and
 // load balancing, no cost-benefit analysis, full copy migration.
-func BASIL() Scheme {
-	return Scheme{
-		Name:      "BASIL",
-		Observer:  SmoothingObserver{},
-		Estimator: MeasuredEstimator{},
-		Planner:   DefaultPlanners(false),
-		Executor:  CopyExecutor{},
-	}
-}
+func BASIL() Scheme { return Scheme{Name: "BASIL"} }
 
 // Pesto is the SoCC'11 baseline: BASIL plus cost-benefit analysis at
 // proposal time.
-func Pesto() Scheme {
-	return Scheme{
-		Name:      "Pesto",
-		Observer:  SmoothingObserver{},
-		Estimator: MeasuredEstimator{},
-		Planner:   DefaultPlanners(true),
-		Executor:  CopyExecutor{},
-	}
-}
+func Pesto() Scheme { return Scheme{Name: "Pesto", Gate: GateProposal} }
 
 // LightSRM is the ICS'15 baseline: I/O redirection instead of an eager
 // full copy, with the background copy gated by cost/benefit each epoch.
-func LightSRM() Scheme {
-	return Scheme{
-		Name:      "LightSRM",
-		Observer:  SmoothingObserver{},
-		Estimator: MeasuredEstimator{},
-		Planner:   DefaultPlanners(false),
-		Executor:  RedirectExecutor{},
-	}
-}
+func LightSRM() Scheme { return Scheme{Name: "LightSRM", Gate: GateCopy, Redirect: true} }
 
 // BCA is the paper's bus-contention-aware management alone (§5.1): the
 // contention-stripping estimator with eager full-copy migration.
-func BCA() Scheme {
-	return Scheme{
-		Name:      "BCA",
-		Observer:  SmoothingObserver{},
-		Estimator: ContentionAwareEstimator{},
-		Planner:   DefaultPlanners(false),
-		Executor:  CopyExecutor{},
-	}
-}
+func BCA() Scheme { return Scheme{Name: "BCA", Predicted: true} }
 
 // BCALazy adds the §5.2 lazy migration (write redirection + per-epoch
 // copy gating) to BCA.
 func BCALazy() Scheme {
-	return Scheme{
-		Name:      "BCA+Lazy",
-		Observer:  SmoothingObserver{},
-		Estimator: ContentionAwareEstimator{},
-		Planner:   DefaultPlanners(false),
-		Executor:  RedirectExecutor{},
-	}
+	return Scheme{Name: "BCA+Lazy", Predicted: true, Gate: GateCopy, Redirect: true}
 }
 
 // Full is the complete proposal: BCA + lazy migration + tagged migration
 // traffic so the NVDIMM-side optimizations (§5.3) engage.
 func Full() Scheme {
-	return Scheme{
-		Name:      "BCA+Lazy+Arch",
-		Observer:  SmoothingObserver{},
-		Estimator: ContentionAwareEstimator{},
-		Planner:   DefaultPlanners(false),
-		Executor:  RedirectExecutor{Tagged: true},
-	}
+	return Scheme{Name: "BCA+Lazy+Arch", Predicted: true, Gate: GateCopy, Redirect: true, Tagged: true}
 }
 
 // AllSchemes returns the evaluation lineup.
@@ -104,94 +80,49 @@ func AllSchemes() []Scheme {
 }
 
 // Named returns a copy of the scheme carrying a different display name —
-// the way ablations derive relabeled variants of a canonical composition.
+// the way ablations derive relabeled variants of a canonical scheme.
 func (s Scheme) Named(name string) Scheme {
 	s.Name = name
 	return s
 }
 
-// NeedsModel reports whether the scheme's estimate stage consults a
-// trained performance model (the System trains one at assembly if so).
-func (s Scheme) NeedsModel() bool {
-	return s.Estimator != nil && s.Estimator.NeedsModel()
-}
+// NeedsModel reports whether the scheme consults a trained performance
+// model (the System trains one at assembly if so).
+func (s Scheme) NeedsModel() bool { return s.Predicted }
 
-// normalized fills nil stages with the BASIL defaults so a zero or
-// partially specified Scheme is directly usable.
-func (s Scheme) normalized() Scheme {
-	if s.Observer == nil {
-		s.Observer = SmoothingObserver{}
-	}
-	if s.Estimator == nil {
-		s.Estimator = MeasuredEstimator{}
-	}
-	if s.Planner == nil {
-		s.Planner = DefaultPlanners(false)
-	}
-	if s.Executor == nil {
-		s.Executor = CopyExecutor{}
-	}
-	return s
-}
+// gatesCopies reports whether in-flight background copies re-run the
+// Eq. 6–7 gate every epoch (lazy migration's pause/resume).
+func (s Scheme) gatesCopies() bool { return s.Redirect && s.Gate == GateCopy }
 
-// Describe renders the stage composition in one line, e.g.
+// Describe renders the policy in one line, e.g.
 // "observe=ewma est=contention-aware plan=failure,regate,balance exec=redirect+gate+tag".
 func (s Scheme) Describe() string {
-	s = s.normalized()
-	return fmt.Sprintf("observe=%s est=%s plan=%s exec=%s",
-		describeStage(s.Observer), describeStage(s.Estimator),
-		describeStage(s.Planner), describeStage(s.Executor))
-}
-
-// describeStage names one stage implementation for Describe.
-func describeStage(stage any) string {
-	switch v := stage.(type) {
-	case SmoothingObserver:
-		return "ewma"
-	case MeasuredEstimator:
-		return "measured"
-	case ContentionAwareEstimator:
-		return "contention-aware"
-	case FailurePlanner:
-		return "failure"
-	case GatePlanner:
-		return "regate"
-	case BalancePlanner:
-		out := "balance"
-		if v.GateProposals {
-			out = "balance(gated)"
-		}
-		if v.Batch {
-			out += "+batch"
-		}
-		return out
-	case Planners:
-		parts := make([]string, len(v))
-		for i, p := range v {
-			parts[i] = describeStage(p)
-		}
-		return strings.Join(parts, ",")
-	case CopyExecutor:
-		if v.Tagged {
-			return "copy+tag"
-		}
-		return "copy"
-	case RedirectExecutor:
-		out := "redirect"
-		if !v.Ungated {
-			out += "+gate"
-		}
-		if v.Tagged {
-			out += "+tag"
-		}
-		return out
-	default:
-		return strings.TrimPrefix(fmt.Sprintf("%T", stage), "mgmt.")
+	est := "measured"
+	if s.Predicted {
+		est = "contention-aware"
 	}
+	plan := "failure,regate,balance"
+	if s.Gate == GateProposal {
+		plan += "(gated)"
+	}
+	exec := "copy"
+	if s.Redirect {
+		exec = "redirect"
+	}
+	if s.gatesCopies() {
+		exec += "+gate"
+	}
+	if s.Tagged {
+		exec += "+tag"
+	}
+	return "observe=ewma est=" + est + " plan=" + plan + " exec=" + exec
 }
 
-// MigratedClass reports the traffic class the scheme's execute stage
-// tags migration I/O with.
+// MigratedClass reports the traffic class the scheme tags migration I/O
+// with.
 func (s Scheme) MigratedClass() trace.Class {
-	return s.normalized().Executor.Class()
+	if s.Tagged {
+		return trace.ClassMigrated
+	}
+	return trace.ClassNormal
 }

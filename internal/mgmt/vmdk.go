@@ -159,7 +159,7 @@ func (v *VMDK) markUnmigrated(b int64) {
 func (v *VMDK) Submit(r *trace.IORequest, done device.Completion) {
 	if v.windowRequests == 0 {
 		// First activity this window: join the primary store's touched
-		// list so the epoch resets it and the planner can select it.
+		// list so the epoch resets it and balancing can select it.
 		v.src.noteTouched(v)
 	}
 	v.windowRequests++

@@ -74,12 +74,14 @@ type WindowSample = core.WindowSample
 // performance model when the scheme requires one and none was injected.
 func NewSystem(opts Options) (*System, error) { return core.NewSystem(opts) }
 
-// Scheme is a named composition of management-pipeline stages (observe,
-// estimate, plan, execute) selecting which techniques are active.
+// Scheme is one management policy: a name plus one field per policy axis
+// (Predicted estimate, cost/benefit Gate, Redirect migration, Tagged
+// migration traffic) selecting which techniques are active. The zero
+// value is BASIL.
 type Scheme = mgmt.Scheme
 
 // ParsePolicy resolves a policy spec — a canonical scheme name such as
-// "bca-lazy", or a stage composition such as
+// "bca-lazy", or a composition of policy axes such as
 // "est=predicted,exec=redirect,gate=copy,tag=on" — into a Scheme. See
 // the internal/mgmt/policy package for the grammar.
 func ParsePolicy(spec string) (Scheme, error) { return policy.Parse(spec) }
